@@ -7,24 +7,20 @@ replicas with :meth:`ESharp.from_artifact`, and compare against the
 from-scratch :meth:`ESharp.build` the seed architecture forced on every
 process start.  **Exactness is checked first**: the loaded replica must
 answer a query sample identically (same experts, same scores, same
-snapshot version) to the in-process build that saved the artifact —
-through *both* on-disk forms, the legacy base64 columns and the binary
-mmap sidecars — and must then serve the ``bench_serving_throughput``
-workload (same driver, same assertions) straight from the loaded
-generation.
+snapshot version) to the in-process build that saved the artifact, and
+must then serve the ``bench_serving_throughput`` workload (same driver,
+same assertions) straight from the loaded generation.
 
-Every timed load runs in a **fresh subprocess** so the two forms cannot
-share decoded state, and each sample carries the child's peak RSS
-(``resource.getrusage``) — the zero-copy claim is visible as the mmap
-loader peaking far below the legacy loader, which must materialise
-every column.  The page cache is warmed before the timed loads so p50
-measures decode, not disk; one separately-recorded sample runs after a
-``posix_fadvise(DONTNEED)`` eviction to keep an honest cold-cache
-number.
+Every timed load runs in a **fresh subprocess** so samples cannot share
+decoded state, and each sample carries the child's peak RSS
+(``resource.getrusage``) — the zero-copy claim is visible as the loader
+peaking far below the artifact's own size.  The page cache is warmed
+before the timed loads so p50 measures decode, not disk; one
+separately-recorded sample runs after a ``posix_fadvise(DONTNEED)``
+eviction to keep an honest cold-cache number.
 
-Acceptance bars: warm-start p50 >= 5x faster than a from-scratch build
-at standard scale, and the mmap form >= 5x faster than the legacy form
-even at smoke scale.
+Acceptance bar: warm-start p50 >= 5x faster than a from-scratch build
+at standard scale.
 
 Writes ``BENCH_artifact.json`` at the repo root.  Also runnable
 standalone; the CI smoke keeps the equivalence assertion on every push::
@@ -55,24 +51,23 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LOAD_REPEATS = 5
 MIN_SPEEDUP = 5.0
-MIN_MMAP_SPEEDUP = 5.0
 SERVE_REQUESTS = 200
 SERVE_CONCURRENCY = 8
 
 #: run in a fresh interpreter per sample: imports happen before the
 #: clock starts, so the number is the warm start alone, and the child's
-#: peak RSS reflects exactly one load of exactly one on-disk form
+#: peak RSS reflects exactly one load
 _CHILD_LOADER = """\
 import json, resource, sys, time
 
-path, form = sys.argv[1], sys.argv[2]
+path = sys.argv[1]
 from repro.core.esharp import ESharp
 import repro.artifact, repro.core.incremental  # noqa: F401  (lazy imports
 # inside from_artifact; pull them before the clock starts so the timed
 # region is the load, not one-time module initialisation)
 
 started = time.perf_counter()
-system = ESharp.from_artifact(path, prefer_sidecar=(form == "mmap"))
+system = ESharp.from_artifact(path)
 elapsed = time.perf_counter() - started
 
 # getrusage's ru_maxrss survives fork on Linux, so a child spawned from
@@ -91,13 +86,13 @@ print(json.dumps({"seconds": elapsed, "peak_rss_kb": peak_kb}))
 """
 
 
-def _child_load(artifact_dir: pathlib.Path, form: str) -> dict:
+def _child_load(artifact_dir: pathlib.Path) -> dict:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     extra = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + extra if extra else "")
     result = subprocess.run(
-        [sys.executable, "-c", _CHILD_LOADER, str(artifact_dir), form],
+        [sys.executable, "-c", _CHILD_LOADER, str(artifact_dir)],
         check=True,
         capture_output=True,
         text=True,
@@ -170,47 +165,26 @@ def run_artifact_bench(
     artifact_dir: pathlib.Path,
     load_repeats: int = LOAD_REPEATS,
     serve_requests: int = SERVE_REQUESTS,
-    legacy_columns: bool = True,
 ) -> dict:
     started = time.perf_counter()
     built = ESharp(config).build()
     build_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    manifest = built.save_artifact(
-        artifact_dir, legacy_columns=legacy_columns
-    )
+    manifest = built.save_artifact(artifact_dir)
     save_seconds = time.perf_counter() - started
 
     # cold-cache sample first (recorded separately), then warm the page
     # cache so every p50 sample below measures decode, not disk
     evicted = _evict_page_cache(artifact_dir)
-    cold = _child_load(artifact_dir, "mmap") if evicted else None
+    cold = _child_load(artifact_dir) if evicted else None
     _warm_page_cache(artifact_dir)
 
-    mmap_samples = [
-        _child_load(artifact_dir, "mmap") for _ in range(load_repeats)
-    ]
-    legacy_samples = (
-        [_child_load(artifact_dir, "legacy") for _ in range(load_repeats)]
-        if legacy_columns
-        else []
-    )
-    mmap_p50 = percentile([s["seconds"] for s in mmap_samples], 0.5)
-    legacy_p50 = (
-        percentile([s["seconds"] for s in legacy_samples], 0.5)
-        if legacy_samples
-        else None
-    )
+    samples = [_child_load(artifact_dir) for _ in range(load_repeats)]
+    load_p50 = percentile([s["seconds"] for s in samples], 0.5)
 
     loaded = ESharp.from_artifact(artifact_dir, expected_config=config)
     equivalence = check_equivalence(built, loaded)
-    if legacy_columns:
-        loaded_legacy = ESharp.from_artifact(
-            artifact_dir, expected_config=config, prefer_sidecar=False
-        )
-        check_equivalence(built, loaded_legacy)
-        equivalence["legacy_form_identical"] = True
 
     # the serving-throughput workload, unchanged, on the loaded replica
     outcome = run_serve(
@@ -238,46 +212,23 @@ def run_artifact_bench(
             "tweets": config.microblog.tweets,
             "seed": config.seed,
             "load_repeats": load_repeats,
-            "legacy_columns": legacy_columns,
         },
         "build": {"from_scratch_s": round(build_seconds, 4)},
         "save": {"seconds": round(save_seconds, 4)},
         "load": {
-            "p50_s": round(mmap_p50, 4),
-            "max_s": round(max(s["seconds"] for s in mmap_samples), 4),
-            "samples_s": [round(s["seconds"], 4) for s in mmap_samples],
-            "legacy_p50_s": (
-                round(legacy_p50, 4) if legacy_p50 is not None else None
-            ),
-            "legacy_samples_s": [
-                round(s["seconds"], 4) for s in legacy_samples
-            ],
+            "p50_s": round(load_p50, 4),
+            "max_s": round(max(s["seconds"] for s in samples), 4),
+            "samples_s": [round(s["seconds"], 4) for s in samples],
             "cold_cache_s": (
                 round(cold["seconds"], 4) if cold is not None else None
             ),
             "page_cache_evicted": evicted,
-            "peak_rss_kb": {
-                "mmap": int(
-                    percentile([s["peak_rss_kb"] for s in mmap_samples], 0.5)
-                ),
-                "legacy": (
-                    int(
-                        percentile(
-                            [s["peak_rss_kb"] for s in legacy_samples], 0.5
-                        )
-                    )
-                    if legacy_samples
-                    else None
-                ),
-            },
+            "peak_rss_kb": int(
+                percentile([s["peak_rss_kb"] for s in samples], 0.5)
+            ),
         },
         "warm_start_speedup": (
-            round(build_seconds / mmap_p50, 2) if mmap_p50 else None
-        ),
-        "warm_start_speedup_mmap": (
-            round(legacy_p50 / mmap_p50, 2)
-            if legacy_p50 is not None and mmap_p50
-            else None
+            round(build_seconds / load_p50, 2) if load_p50 else None
         ),
         "artifact": {
             "stages": sorted(manifest.stages),
@@ -299,7 +250,6 @@ def render(payload: dict) -> str:
     build = payload["build"]
     load = payload["load"]
     serving = payload["serving_from_artifact"]
-    rss = load["peak_rss_kb"]
     lines = [
         "ART1 — artifact warm start vs from-scratch build (s)",
         f"  corpus: {payload['config']['impressions']} impressions, "
@@ -310,14 +260,8 @@ def render(payload: dict) -> str:
         f"{len(payload['artifact']['stages'])} stages)",
         f"  warm start p50      {load['p50_s']:>8.4f}"
         f"  speedup={payload['warm_start_speedup']}x"
-        f"  (peak rss {rss['mmap'] / 1024:.0f} MB)",
+        f"  (peak rss {load['peak_rss_kb'] / 1024:.0f} MB)",
     ]
-    if load["legacy_p50_s"] is not None:
-        lines.append(
-            f"  legacy load p50     {load['legacy_p50_s']:>8.4f}"
-            f"  mmap speedup={payload['warm_start_speedup_mmap']}x"
-            f"  (peak rss {rss['legacy'] / 1024:.0f} MB)"
-        )
     if load["cold_cache_s"] is not None:
         lines.append(f"  cold-cache load     {load['cold_cache_s']:>8.4f}")
     lines += [
@@ -345,9 +289,7 @@ def test_artifact_roundtrip(benchmark, results_dir, tmp_path_factory):
         run_artifact_bench, args=(config, artifact_dir), rounds=1, iterations=1
     )
     assert payload["equivalence"]["identical"]
-    assert payload["equivalence"]["legacy_form_identical"]
     assert payload["warm_start_speedup"] >= MIN_SPEEDUP
-    assert payload["warm_start_speedup_mmap"] >= MIN_MMAP_SPEEDUP
     assert payload["serving_from_artifact"]["errors"] == 0
 
     bench_path = REPO_ROOT / "BENCH_artifact.json"
@@ -377,16 +319,10 @@ def main() -> None:
         "afterwards)",
     )
     parser.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="save sidecar-only stage files (no base64 blobs); skips the "
-        "legacy-vs-mmap comparison since there is no legacy form to load",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="small config, fewer loads, no build-speedup bar — the CI "
-        "equivalence + mmap-speedup check",
+        "equivalence + zero-error serve check",
     )
     parser.add_argument(
         "--output",
@@ -412,17 +348,7 @@ def main() -> None:
             artifact_dir,
             load_repeats=3 if args.smoke else args.load_repeats,
             serve_requests=40 if args.smoke else SERVE_REQUESTS,
-            legacy_columns=not args.no_legacy,
         )
-        if not args.no_legacy:
-            # the zero-copy bar holds even at smoke scale: mmap views
-            # must beat the base64 decode by 5x or the layout regressed
-            if payload["warm_start_speedup_mmap"] < MIN_MMAP_SPEEDUP:
-                raise AssertionError(
-                    f"mmap load must be >= {MIN_MMAP_SPEEDUP}x faster than "
-                    f"the legacy decode, got "
-                    f"{payload['warm_start_speedup_mmap']}x"
-                )
         if not args.smoke and scale == "standard":
             if payload["warm_start_speedup"] < MIN_SPEEDUP:
                 raise AssertionError(

@@ -1,35 +1,41 @@
-"""Per-stage codecs: exact, self-describing, JSON-lines stage files.
+"""Per-stage codecs: exact, self-describing binary-sidecar stage files.
 
-Every pipeline structure round-trips through a codec with three
+Every pipeline structure is persisted as two files: the numeric columns
+and string tables go raw into one aligned ``stage-<output>.bin`` sidecar
+(see :mod:`repro.artifact.sidecar`), and a small
+``stage-<output>.meta.jsonl`` JSON-lines file keeps the non-columnar
+remainder (counters, user records, pending ledgers).  Loading opens the
+sidecar with mmap and hands the columns to the consumers as zero-copy
+views — no JSON parse of the bulk data, no array copies; the pages
+fault in lazily as queries touch them.  Each codec gives three
 guarantees:
 
 * **Exactness** — the decoded object is byte-identical to the encoded
-  one: floats are serialised via JSON (Python's ``repr``-based float
-  formatting, which round-trips IEEE doubles exactly), integer counters
-  verbatim, and *insertion order is preserved wherever it is
-  semantically load-bearing* (the query-log click ``Counter`` feeds
-  ``SparseVector`` norms whose float summation is order-dependent, so
-  the codec replays pairs in the store's own order).
-* **Self-description** — every file starts with a one-line header
-  ``repro-artifact <kind> <codec-version>``; a reader that does not
+  one: floats travel as raw IEEE doubles, integer counters verbatim, and
+  *insertion order is preserved wherever it is semantically
+  load-bearing* (the query-log click ``Counter`` feeds ``SparseVector``
+  norms whose float summation is order-dependent, so the codec replays
+  pairs in the store's own order).
+* **Self-description** — every ``.meta`` file starts with a one-line
+  header ``repro-artifact <kind> <codec-version>`` and every sidecar
+  carries the same pair in its binary header; a reader that does not
   speak the version refuses with :class:`ArtifactVersionError` instead
   of guessing.
-* **No garbage on corruption** — callers verify the manifest checksum
-  *before* handing bytes to a codec (see
-  :func:`repro.artifact.store.read_stage_file`), and every structural
-  surprise inside a codec raises :class:`ArtifactCorruptError`; nothing
-  is ever unpickled.
+* **No garbage on corruption** — the ``.meta`` file is verified against
+  its manifest checksum before a line is parsed, the sidecar against its
+  manifest size and offset table, and every structural surprise inside a
+  codec (a length disagreement, an out-of-range index) raises
+  :class:`ArtifactCorruptError`; nothing is ever unpickled.
 
-Encoders yield plain-dict records; decoders receive the parsed record
-list.  The :data:`CODECS` registry maps each logical artifact name to
-its ``(kind, version, encode, decode)`` quadruple — the only table the
-builder/loader need.
+Encoders take ``(obj, writer)``, add their columns to the
+:class:`~repro.artifact.sidecar.SidecarWriter` and yield the meta
+records; decoders take ``(records, view)``.  The :data:`CODECS` registry
+maps each logical artifact name to its ``(kind, version, encode,
+decode)`` quadruple — the only table the builder/loader need.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import hashlib
 import json
 import math
@@ -145,7 +151,7 @@ def _require(record: dict, key: str) -> Any:
         ) from None
 
 
-# -- chunking & binary-column helpers ----------------------------------------
+# -- chunking, bounds & byte-order helpers -----------------------------------
 
 #: rows per JSON record; one big list parses ~30% faster than one record
 #: per line, without producing unboundedly long lines
@@ -157,40 +163,15 @@ def _chunks(rows: list) -> Iterator[list]:
         yield rows[start : start + _CHUNK]
 
 
-def _col_record(name: str, column) -> dict:
-    """A packed numeric column: native bytes, base64, self-describing.
+def _require_in_bounds(column, size: int, what: str) -> None:
+    """Bulk-check an index column against the table it points into.
 
-    Accepts owned :class:`array.array` columns *and* the typed
-    ``memoryview`` columns a buffer-backed platform exports (a dual-form
-    save re-encodes an mmap-restored corpus through this legacy path).
+    A negative index would wrap to a real entry and decode to a value
+    that was never written; the sidecar payload is not hashed at load,
+    so this is the only guard.
     """
-    typecode = getattr(column, "typecode", None) or column.format
-    return {
-        "col": [
-            name,
-            typecode,
-            column.itemsize,
-            base64.b64encode(column.tobytes()).decode("ascii"),
-        ]
-    }
-
-
-def _decode_col(record: dict) -> tuple[str, array]:
-    name, typecode, itemsize, blob = _require(record, "col")
-    column = array(typecode)
-    if column.itemsize != itemsize:
-        raise ArtifactCorruptError(
-            f"column {name!r}: typecode {typecode!r} is {column.itemsize} "
-            f"bytes on this platform but {itemsize} in the artifact "
-            "(cross-platform width mismatch — rebuild the artifact here)"
-        )
-    try:
-        column.frombytes(base64.b64decode(blob, validate=True))
-    except (binascii.Error, ValueError) as exc:
-        raise ArtifactCorruptError(
-            f"column {name!r} is not valid base64: {exc}"
-        ) from exc
-    return name, column
+    if len(column) and not 0 <= min(column) <= max(column) < size:
+        raise ArtifactCorruptError(f"{what} out of bounds")
 
 
 def _byteorder_guard(meta: dict) -> None:
@@ -202,530 +183,15 @@ def _byteorder_guard(meta: dict) -> None:
         )
 
 
-# -- query-log store ---------------------------------------------------------
-
-
-def encode_querylog(store: QueryLogStore) -> Iterator[dict]:
-    yield {
-        "meta": {
-            "min_support": store.min_support,
-            "impressions": store.impressions,
-            "raw_bytes": store.raw_bytes,
-        }
-    }
-    # insertion order preserved: per-query URL order determines the float
-    # summation order of SparseVector norms downstream
-    for chunk in _chunks([[q, n] for q, n in store.iter_query_counts()]):
-        yield {"q": chunk}
-    for chunk in _chunks(
-        [[q, u, c] for (q, u), c in store.iter_clicks()]
-    ):
-        yield {"c": chunk}
-
-
-def decode_querylog(records: list[dict]) -> QueryLogStore:
-    if not records or "meta" not in records[0]:
-        raise ArtifactCorruptError("query-log stage has no meta record")
-    meta = records[0]["meta"]
-    try:
-        return QueryLogStore.restore(
-            min_support=int(_require(meta, "min_support")),
-            impressions=int(_require(meta, "impressions")),
-            raw_bytes=int(_require(meta, "raw_bytes")),
-            query_counts=(
-                (query, count)
-                for record in records[1:]
-                if "q" in record
-                for query, count in record["q"]
-            ),
-            clicks=(
-                (query, url, clicks)
-                for record in records[1:]
-                if "c" in record
-                for query, url, clicks in record["c"]
-            ),
-        )
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed query-log stage: {exc}") from exc
-
-
-# -- weighted similarity graph ----------------------------------------------
-
-
-def encode_weighted_graph(graph: WeightedGraph) -> Iterator[dict]:
-    for u, v, weight in graph.edges():
-        yield {"e": [u, v, weight]}
-    for vertex in graph.sorted_vertices():
-        if not graph.neighbour_view(vertex):
-            yield {"v": vertex}
-
-
-def decode_weighted_graph(records: list[dict]) -> WeightedGraph:
-    graph = WeightedGraph()
-    try:
-        for record in records:
-            if "e" in record:
-                u, v, weight = record["e"]
-                graph.add_edge(u, v, weight)
-            elif "v" in record:
-                graph.add_vertex(record["v"])
-            else:
-                raise ArtifactCorruptError(
-                    f"unknown weighted-graph record: {record!r}"
-                )
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(
-            f"malformed weighted-graph stage: {exc}"
-        ) from exc
-    return graph
-
-
-# -- discretised multigraph --------------------------------------------------
-
-
-def encode_multigraph(graph: MultiGraph) -> Iterator[dict]:
-    for u, v, multiplicity in graph.sorted_edges():
-        yield {"e": [u, v, multiplicity]}
-    for vertex in graph.sorted_vertices():
-        if graph.degree(vertex) == 0:
-            yield {"v": vertex}
-
-
-def decode_multigraph(records: list[dict]) -> MultiGraph:
-    graph = MultiGraph()
-    try:
-        for record in records:
-            if "e" in record:
-                u, v, multiplicity = record["e"]
-                graph.add_edge(u, v, int(multiplicity))
-            elif "v" in record:
-                graph.add_vertex(record["v"])
-            else:
-                raise ArtifactCorruptError(
-                    f"unknown multigraph record: {record!r}"
-                )
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed multigraph stage: {exc}") from exc
-    return graph
-
-
-# -- raw edge dict (the resumable join's live state) -------------------------
-
-
-def encode_edge_dict(edges: dict[tuple[str, str], float]) -> Iterator[dict]:
-    # dict insertion order preserved verbatim
-    for (u, v), weight in edges.items():
-        yield {"e": [u, v, weight]}
-
-
-def decode_edge_dict(records: list[dict]) -> dict[tuple[str, str], float]:
-    edges: dict[tuple[str, str], float] = {}
-    try:
-        for record in records:
-            u, v, weight = _require(record, "e")
-            edges[(u, v)] = float(weight)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed edge-dict stage: {exc}") from exc
-    return edges
-
-
-# -- partition ---------------------------------------------------------------
-
-
-def encode_partition(partition: Partition) -> Iterator[dict]:
-    for vertex, community in partition.assignment.items():
-        yield {"a": [vertex, community]}
-
-
-def decode_partition(records: list[dict]) -> Partition:
-    assignment: dict[str, str] = {}
-    try:
-        for record in records:
-            vertex, community = _require(record, "a")
-            assignment[str(vertex)] = str(community)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed partition stage: {exc}") from exc
-    return Partition(assignment)
-
-
-# -- domain store ------------------------------------------------------------
-
-
-def encode_domain_store(store: DomainStore) -> Iterator[dict]:
-    for domain in store.domains():
-        yield {"d": [domain.domain_id, list(domain.keywords)]}
-
-
-def decode_domain_store(records: list[dict]) -> DomainStore:
-    domains: list[ExpertiseDomain] = []
-    try:
-        for record in records:
-            domain_id, keywords = _require(record, "d")
-            keywords = tuple(str(keyword) for keyword in keywords)
-            if not keywords or domain_id != min(keywords):
-                # artifacts are written by the pipeline, whose ids are
-                # canonical (smallest member); anything else is damage
-                raise ArtifactCorruptError(
-                    f"domain {domain_id!r} violates the canonical-id "
-                    "invariant (id must be its smallest member keyword)"
-                )
-            domains.append(ExpertiseDomain(domain_id=domain_id, keywords=keywords))
-        return DomainStore(domains)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(
-            f"malformed domain-store stage: {exc}"
-        ) from exc
-
-
-# -- clustering history ------------------------------------------------------
-
-
-def encode_history(history: list[IterationTrace]) -> Iterator[dict]:
-    for trace in history:
-        yield {
-            "i": [
-                trace.iteration,
-                trace.communities,
-                trace.merges,
-                trace.modularity_gain,
-            ]
-        }
-
-
-def decode_history(records: list[dict]) -> list[IterationTrace]:
-    history: list[IterationTrace] = []
-    try:
-        for record in records:
-            iteration, communities, merges, gain = _require(record, "i")
-            history.append(
-                IterationTrace(
-                    iteration=int(iteration),
-                    communities=int(communities),
-                    merges=int(merges),
-                    modularity_gain=float(gain),
-                )
-            )
-    except (TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed history stage: {exc}") from exc
-    return history
-
-
 # -- microblog corpus --------------------------------------------------------
 #
-# The corpus is stored *columnar*: user records and tweet texts as chunked
-# JSON, every numeric per-tweet/per-index column as one base64-packed
-# native array.  Decoding therefore rebuilds the platform's indexes at
-# C speed and leaves Tweet materialisation deferred (see
-# MicroblogPlatform.restore) — the difference between a multi-second and
-# a sub-second warm start at standard scale.
-
-
-def encode_corpus(platform: MicroblogPlatform) -> Iterator[dict]:
-    state = platform.export_state()
-    yield {
-        "meta": {
-            "mutations": state["mutations"],
-            "byteorder": sys.byteorder,
-        }
-    }
-    user_rows = [
-        [
-            user.user_id,
-            user.screen_name,
-            user.description,
-            user.persona,
-            list(user.expert_topics),
-            {
-                str(topic_id): list(keywords)
-                for topic_id, keywords in user.preferred_keywords.items()
-            },
-            user.verified,
-            user.followers,
-        ]
-        for user in state["users"]
-    ]
-    for chunk in _chunks(user_rows):
-        yield {"u": chunk}
-    for chunk in _chunks([list(row) for row in state["totals"]]):
-        yield {"tot": chunk}
-    for chunk in _chunks(state["texts"]):
-        yield {"x": chunk}
-    for name in (
-        "tweet_ids",
-        "authors",
-        "retweet_of",
-        "retweet_authors",
-        "topic_ids",
-        "mention_offsets",
-        "mention_ids",
-    ):
-        yield _col_record(name, state[name])
-    # postings: token list in index order + one flat rows column
-    postings: dict[str, array] = state["postings"]
-    offsets = array("l", [0])
-    flat_rows = array("l")
-    for rows in postings.values():
-        flat_rows.extend(rows)
-        offsets.append(len(flat_rows))
-    for chunk in _chunks(list(postings.keys())):
-        yield {"ptok": chunk}
-    yield _col_record("posting_offsets", offsets)
-    yield _col_record("posting_rows", flat_rows)
-    # by-author tweet ids, same offsets trick
-    by_author: dict[int, list[int]] = state["by_author"]
-    author_ids = array("q", by_author.keys())
-    author_offsets = array("l", [0])
-    author_tweets = array("q")
-    for tweet_ids in by_author.values():
-        author_tweets.extend(tweet_ids)
-        author_offsets.append(len(author_tweets))
-    yield _col_record("author_ids", author_ids)
-    yield _col_record("author_offsets", author_offsets)
-    yield _col_record("author_tweets", author_tweets)
-    if state["pending_retweets"]:
-        yield {
-            "pr": [
-                [original, rows]
-                for original, rows in state["pending_retweets"].items()
-            ]
-        }
-    if state["pending_mentions"]:
-        yield {
-            "pm": [
-                [user_id, count]
-                for user_id, count in state["pending_mentions"].items()
-            ]
-        }
-
-
-def decode_corpus(records: list[dict]) -> MicroblogPlatform:
-    if not records or "meta" not in records[0]:
-        raise ArtifactCorruptError("corpus stage has no meta record")
-    meta = records[0]["meta"]
-    _byteorder_guard(meta)
-    users: list[UserProfile] = []
-    totals: list[tuple[int, int, int]] = []
-    texts: list[str] = []
-    tokens: list[str] = []
-    columns: dict[str, array] = {}
-    pending_retweets: dict[int, list[int]] = {}
-    pending_mentions: dict[int, int] = {}
-    try:
-        for record in records[1:]:
-            if "x" in record:
-                texts.extend(record["x"])
-            elif "col" in record:
-                name, column = _decode_col(record)
-                columns[name] = column
-            elif "ptok" in record:
-                tokens.extend(record["ptok"])
-            elif "u" in record:
-                for row in record["u"]:
-                    (
-                        user_id,
-                        screen_name,
-                        description,
-                        persona,
-                        expert_topics,
-                        preferred,
-                        verified,
-                        followers,
-                    ) = row
-                    users.append(
-                        UserProfile(
-                            user_id=int(user_id),
-                            screen_name=str(screen_name),
-                            description=str(description),
-                            persona=str(persona),
-                            expert_topics=tuple(
-                                int(t) for t in expert_topics
-                            ),
-                            preferred_keywords={
-                                int(topic_id): tuple(keywords)
-                                for topic_id, keywords in preferred.items()
-                            },
-                            verified=bool(verified),
-                            followers=int(followers),
-                        )
-                    )
-            elif "tot" in record:
-                totals.extend(
-                    (int(a), int(b), int(c)) for a, b, c in record["tot"]
-                )
-            elif "pr" in record:
-                pending_retweets = {
-                    int(original): [int(row) for row in rows]
-                    for original, rows in record["pr"]
-                }
-            elif "pm" in record:
-                pending_mentions = {
-                    int(user_id): int(count)
-                    for user_id, count in record["pm"]
-                }
-            else:
-                raise ArtifactCorruptError(
-                    f"unknown corpus record: {record!r}"
-                )
-        required = (
-            "tweet_ids",
-            "authors",
-            "retweet_of",
-            "retweet_authors",
-            "topic_ids",
-            "mention_offsets",
-            "mention_ids",
-            "posting_offsets",
-            "posting_rows",
-            "author_ids",
-            "author_offsets",
-            "author_tweets",
-        )
-        for name in required:
-            if name not in columns:
-                raise ArtifactCorruptError(
-                    f"corpus stage is missing column {name!r}"
-                )
-        posting_offsets = columns["posting_offsets"]
-        if len(posting_offsets) != len(tokens) + 1:
-            raise ArtifactCorruptError(
-                "corpus posting offsets disagree with the token list"
-            )
-        flat_rows = columns["posting_rows"]
-        postings = {
-            token: flat_rows[posting_offsets[i] : posting_offsets[i + 1]]
-            for i, token in enumerate(tokens)
-        }
-        author_ids = columns["author_ids"]
-        author_offsets = columns["author_offsets"]
-        if len(author_offsets) != len(author_ids) + 1:
-            raise ArtifactCorruptError(
-                "corpus author offsets disagree with the author list"
-            )
-        author_tweets = columns["author_tweets"]
-        by_author = {
-            author_ids[i]: author_tweets[
-                author_offsets[i] : author_offsets[i + 1]
-            ].tolist()
-            for i in range(len(author_ids))
-        }
-        return MicroblogPlatform.restore(
-            users=users,
-            totals=totals,
-            texts=texts,
-            tweet_ids=columns["tweet_ids"],
-            authors=columns["authors"],
-            retweet_of=columns["retweet_of"],
-            retweet_authors=columns["retweet_authors"],
-            topic_ids=columns["topic_ids"],
-            mention_offsets=columns["mention_offsets"],
-            mention_ids=columns["mention_ids"],
-            postings=postings,
-            by_author=by_author,
-            pending_retweets=pending_retweets,
-            pending_mentions=pending_mentions,
-            mutations=int(_require(meta, "mutations")),
-        )
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed corpus stage: {exc}") from exc
-
-
-# -- detection-engine packed index -------------------------------------------
-#
-# The columnar candidate index is itself an offline-stage product (built
-# eagerly by ESharp.build so the first query never pays it); persisting
-# it means a warm start skips the whole corpus re-aggregation.  All
-# per-token columns share one offsets array since they are parallel.
-
-_ENGINE_COLUMNS: tuple[tuple[str, str], ...] = (
-    ("user_ids", "q"),
-    ("on_topic_tweets", "l"),
-    ("on_topic_mentions", "l"),
-    ("on_topic_retweets_received", "l"),
-    ("topical_signal", "d"),
-    ("mention_impact", "d"),
-    ("retweet_impact", "d"),
-)
-
-
-def encode_engine(packed: tuple[dict, int]) -> Iterator[dict]:
-    index, built_at = packed
-    yield {
-        "meta": {
-            "built_at": built_at,
-            "byteorder": sys.byteorder,
-        }
-    }
-    for chunk in _chunks(list(index.keys())):
-        yield {"tok": chunk}
-    offsets = array("l", [0])
-    total = 0
-    for candidates in index.values():
-        total += len(candidates)
-        offsets.append(total)
-    yield _col_record("offsets", offsets)
-    for name, typecode in _ENGINE_COLUMNS:
-        flat = array(typecode)
-        for candidates in index.values():
-            flat.extend(getattr(candidates, name))
-        yield _col_record(name, flat)
-
-
-def decode_engine(records: list[dict]) -> tuple[dict, int]:
-    from repro.detector.engine import TokenCandidates
-
-    if not records or "meta" not in records[0]:
-        raise ArtifactCorruptError("engine stage has no meta record")
-    meta = records[0]["meta"]
-    _byteorder_guard(meta)
-    tokens: list[str] = []
-    columns: dict[str, array] = {}
-    try:
-        for record in records[1:]:
-            if "tok" in record:
-                tokens.extend(record["tok"])
-            elif "col" in record:
-                name, column = _decode_col(record)
-                columns[name] = column
-            else:
-                raise ArtifactCorruptError(
-                    f"unknown engine record: {record!r}"
-                )
-        offsets = columns.get("offsets")
-        if offsets is None or len(offsets) != len(tokens) + 1:
-            raise ArtifactCorruptError(
-                "engine offsets disagree with the token list"
-            )
-        for name, _typecode in _ENGINE_COLUMNS:
-            if name not in columns:
-                raise ArtifactCorruptError(
-                    f"engine stage is missing column {name!r}"
-                )
-            if len(columns[name]) != offsets[-1]:
-                raise ArtifactCorruptError(
-                    f"engine column {name!r} disagrees with the offsets"
-                )
-        index: dict[str, TokenCandidates] = {}
-        for i, token in enumerate(tokens):
-            start, stop = offsets[i], offsets[i + 1]
-            index[token] = TokenCandidates(
-                *(columns[name][start:stop] for name, _t in _ENGINE_COLUMNS)
-            )
-        return index, int(_require(meta, "built_at"))
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ArtifactCorruptError(f"malformed engine stage: {exc}") from exc
-
-
-# -- binary sidecar codecs (v2) ----------------------------------------------
-#
-# The packed columnar stages have a second, faster representation: every
-# numeric column goes raw into one aligned ``stage-<output>.bin`` sidecar
-# (see repro.artifact.sidecar) while a small ``stage-<output>.meta``
-# JSON-lines file keeps the non-columnar remainder (user records, pending
-# ledgers, counters).  Loading opens the sidecar with mmap and hands the
-# columns to the consumers as zero-copy views — no base64, no JSON
-# parse, no array copies; the pages fault in lazily as queries touch
-# them.  Encoders take ``(obj, writer)`` and yield the meta records;
-# decoders take ``(records, view)``.
+# The corpus is stored *columnar*: every numeric per-tweet/per-index
+# column and the tweet texts go into the sidecar, only the user records
+# and pending ledgers into the meta file.  Decoding therefore rebuilds
+# the platform's indexes over mmap'd views and leaves Tweet
+# materialisation deferred (see MicroblogPlatform.restore) — the
+# difference between a multi-second and a millisecond warm start at
+# standard scale.
 
 
 def _parse_corpus_users(rows: list) -> list[UserProfile]:
@@ -923,6 +389,24 @@ def decode_corpus_sidecar(records: list[dict], view) -> MicroblogPlatform:
         raise ArtifactCorruptError(f"malformed corpus stage: {exc}") from exc
 
 
+# -- detection-engine packed index -------------------------------------------
+#
+# The columnar candidate index is itself an offline-stage product (built
+# eagerly by ESharp.build so the first query never pays it); persisting
+# it means a warm start skips the whole corpus re-aggregation.  All
+# per-token columns share one offsets array since they are parallel.
+
+_ENGINE_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("user_ids", "q"),
+    ("on_topic_tweets", "l"),
+    ("on_topic_mentions", "l"),
+    ("on_topic_retweets_received", "l"),
+    ("topical_signal", "d"),
+    ("mention_impact", "d"),
+    ("retweet_impact", "d"),
+)
+
+
 def encode_engine_sidecar(packed: tuple, writer) -> Iterator[dict]:
     from repro.detector.engine import PACKED_LOG_EPSILON
 
@@ -1027,6 +511,9 @@ def decode_engine_sidecar(records: list[dict], view) -> tuple:
         raise ArtifactCorruptError(f"malformed engine stage: {exc}") from exc
 
 
+# -- query-log store ---------------------------------------------------------
+
+
 def encode_querylog_sidecar(store: QueryLogStore, writer) -> Iterator[dict]:
     queries: list[str] = []
     counts = array("q")
@@ -1095,8 +582,11 @@ def decode_querylog_sidecar(records: list[dict], view) -> QueryLogStore:
         # click keys.  All bulk C-level construction — this is what turns
         # the per-pair restore loop into a ~10 ms operation.
         query_counts = dict(zip(queries, counts.tolist()))
-        click_queries = list(map(queries.__getitem__, view.column("click_query")))
-        click_urls = list(map(urls.__getitem__, view.column("click_url")))
+        click_query, click_url = view.column("click_query"), view.column("click_url")
+        _require_in_bounds(click_query, len(queries), "query-log click index")
+        _require_in_bounds(click_url, len(urls), "query-log click index")
+        click_queries = list(map(queries.__getitem__, click_query))
+        click_urls = list(map(urls.__getitem__, click_url))
         clicks = dict(
             zip(zip(click_queries, click_urls), view.column("click_count").tolist())
         )
@@ -1111,7 +601,7 @@ def decode_querylog_sidecar(records: list[dict], view) -> QueryLogStore:
         raise ArtifactCorruptError(f"malformed query-log stage: {exc}") from exc
 
 
-# -- graph sidecars ----------------------------------------------------------
+# -- similarity graphs -------------------------------------------------------
 #
 # Both graphs are numeric once the vertex labels are interned: one string
 # table plus (u, v, value) index columns.  The decoders hand the label
@@ -1134,8 +624,7 @@ def _read_edge_labels(view, vertices) -> tuple[list[str], list[str]]:
     if len(edge_u) != len(edge_v):
         raise ArtifactCorruptError("graph edge columns disagree in length")
     for column in (edge_u, edge_v):
-        if len(column) and not 0 <= min(column) <= max(column) < len(vertices):
-            raise ArtifactCorruptError("graph edge endpoint out of bounds")
+        _require_in_bounds(column, len(vertices), "graph edge endpoint")
     return (
         list(map(vertices.__getitem__, edge_u)),
         list(map(vertices.__getitem__, edge_v)),
@@ -1246,12 +735,9 @@ def decode_partition_sidecar(records: list[dict], view) -> Partition:
             raise ArtifactCorruptError(
                 "partition assignment disagrees with the vertex table"
             )
-        if len(assign) and not (
-            0 <= min(assign) <= max(assign) < len(communities)
-        ):
-            raise ArtifactCorruptError(
-                "partition community index out of bounds"
-            )
+        _require_in_bounds(
+            assign, len(communities), "partition community index"
+        )
         return Partition(
             dict(zip(vertices, map(communities.__getitem__, assign)))
         )
@@ -1295,8 +781,8 @@ def decode_domain_store_sidecar(records: list[dict], view) -> DomainStore:
             if stop <= start:
                 raise ArtifactCorruptError("empty or unordered domain slice")
             members = tuple(keywords[start:stop])
-            # ids are canonical (smallest member) by construction — see
-            # decode_domain_store — so reconstructing them is exact
+            # the pipeline writes canonical ids (a domain's id is its
+            # smallest member keyword), so reconstructing them is exact
             domains.append(
                 ExpertiseDomain(domain_id=min(members), keywords=members)
             )
@@ -1394,41 +880,10 @@ def decode_edge_dict_sidecar(
 
 # -- registry ----------------------------------------------------------------
 
-#: logical artifact name → (kind, codec version, encode, decode)
+#: logical artifact name → (kind, codec version, encode(obj, writer) →
+#: meta records, decode(records, view) → obj).  The sidecar and its
+#: ``.meta`` file share the version.
 CODECS: dict[str, tuple[str, int, Callable, Callable]] = {
-    "store": ("querylog", 1, encode_querylog, decode_querylog),
-    "weighted_graph": (
-        "weighted-graph",
-        1,
-        encode_weighted_graph,
-        decode_weighted_graph,
-    ),
-    "multigraph": ("multigraph", 1, encode_multigraph, decode_multigraph),
-    "partition": ("partition", 1, encode_partition, decode_partition),
-    "clustering_history": (
-        "clustering-history",
-        1,
-        encode_history,
-        decode_history,
-    ),
-    "domain_store": (
-        "domain-store",
-        1,
-        encode_domain_store,
-        decode_domain_store,
-    ),
-    "corpus": ("corpus", 1, encode_corpus, decode_corpus),
-    "engine_index": ("engine-index", 1, encode_engine, decode_engine),
-    "refresher_store": ("querylog", 1, encode_querylog, decode_querylog),
-    "refresher_edges": ("edge-dict", 1, encode_edge_dict, decode_edge_dict),
-}
-
-#: outputs that additionally carry a binary sidecar — name →
-#: (kind, codec version, encode(obj, writer) → meta records,
-#: decode(records, view) → obj).  The sidecar and its ``.meta`` file
-#: share the version; legacy (v1) stage files for the same output remain
-#: readable forever and are still written unless the save opts out.
-SIDECAR_CODECS: dict[str, tuple[str, int, Callable, Callable]] = {
     "store": ("querylog", 2, encode_querylog_sidecar, decode_querylog_sidecar),
     "corpus": ("corpus", 2, encode_corpus_sidecar, decode_corpus_sidecar),
     "engine_index": (

@@ -3,15 +3,17 @@
 An artifact directory is one serving generation on disk::
 
     out/
-      manifest.json            # root of trust: codecs, checksums, config
-      stage-store.jsonl        # aggregated query log
-      stage-weighted_graph.jsonl
-      stage-multigraph.jsonl
-      stage-partition.jsonl
-      stage-clustering_history.jsonl
-      stage-domain_store.jsonl
-      stage-corpus.jsonl       # microblog users + tweets, ingestion order
-      stage-refresher_*.jsonl  # optional: resumable incremental-join state
+      manifest.json                 # root of trust: codecs, checksums, config
+      stage-store.bin               # aggregated query log: mmap'd columns
+      stage-store.meta.jsonl        #   ... and its non-columnar remainder
+      stage-weighted_graph.{bin,meta.jsonl}
+      stage-multigraph.{bin,meta.jsonl}
+      stage-partition.{bin,meta.jsonl}
+      stage-clustering_history.{bin,meta.jsonl}
+      stage-domain_store.{bin,meta.jsonl}
+      stage-corpus.{bin,meta.jsonl} # microblog users + tweets, ingestion order
+      stage-engine_index.{bin,meta.jsonl}  # optional: packed detection index
+      stage-refresher_*.{bin,meta.jsonl}   # optional: resumable join state
 
 :class:`ArtifactBuilder` is the write side, designed for *checkpointed*
 builds: :class:`~repro.core.offline.OfflinePipeline` hands it each
@@ -34,12 +36,7 @@ import pathlib
 import shutil
 from dataclasses import dataclass
 
-from repro.artifact.codecs import (
-    CODECS,
-    SIDECAR_CODECS,
-    read_stage_records,
-    write_stage_file,
-)
+from repro.artifact.codecs import CODECS, read_stage_records, write_stage_file
 from repro.artifact.sidecar import SidecarWriter, open_sidecar, sidecar_filename
 from repro.artifact.errors import (
     ArtifactCorruptError,
@@ -106,15 +103,10 @@ class ArtifactBuilder:
     someone else's artifact — delete the directory or pick another.
     """
 
-    def __init__(
-        self, root, config: ESharpConfig, *, legacy_columns: bool = True
-    ) -> None:
+    def __init__(self, root, config: ESharpConfig) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.config = config
-        #: write base64 (v1) stage files alongside binary sidecars; turned
-        #: off by ``--no-legacy`` once every reader speaks the sidecar
-        self.legacy_columns = legacy_columns
         self.fingerprint = config_fingerprint(config)
         try:
             existing = read_manifest(self.root)
@@ -156,13 +148,10 @@ class ArtifactBuilder:
         entry = self.manifest.stages.get(name)
         if entry is None:
             raise ArtifactCorruptError(f"stage {name!r} is not checkpointed")
-        values: dict[str, object] = {}
-        for output in outputs:
-            if not _has_output(entry.files, output):
-                raise ArtifactCorruptError(
-                    f"stage {name!r} is missing output {output!r}"
-                )
-            values[output] = _decode_output(self.root, entry.files, output)
+        values = {
+            output: _decode_output(self.root, entry.files, output)
+            for output in outputs
+        }
         return values, _report_from_jsonable(entry.report)
 
     def save_stage(
@@ -173,52 +162,36 @@ class ArtifactBuilder:
     ) -> None:
         """Persist one stage's outputs and re-write the manifest.
 
-        Outputs with a registered sidecar codec are written in binary
-        sidecar form (``stage-<output>.bin`` + ``stage-<output>.meta``)
-        and — while :attr:`legacy_columns` holds — in the legacy base64
-        form too, so older readers keep working during the transition.
+        Each output is written as its binary sidecar
+        (``stage-<output>.bin``) plus the ``stage-<output>.meta.jsonl``
+        remainder, under the manifest keys ``<output>.bin`` /
+        ``<output>.meta``.
         """
         fire("artifact.save_stage", stage=name)
         files: dict[str, FileEntry] = {}
         for output, value in values.items():
-            sidecar = SIDECAR_CODECS.get(output)
-            if sidecar is not None:
-                kind, version, encode_sidecar, _decode = sidecar
-                bin_name = sidecar_filename(output)
-                writer = SidecarWriter(self.root / bin_name, kind, version)
-                meta_records = list(encode_sidecar(value, writer))
-                bin_sha, bin_size = writer.finish()
-                files[f"{output}.bin"] = FileEntry(
-                    filename=bin_name,
-                    kind=kind,
-                    codec_version=version,
-                    sha256=bin_sha,
-                    size_bytes=bin_size,
-                )
-                meta_name = f"stage-{output}.meta.jsonl"
-                meta_sha, meta_size = write_stage_file(
-                    self.root / meta_name, kind, version, meta_records
-                )
-                files[f"{output}.meta"] = FileEntry(
-                    filename=meta_name,
-                    kind=kind,
-                    codec_version=version,
-                    sha256=meta_sha,
-                    size_bytes=meta_size,
-                )
-                if not self.legacy_columns:
-                    continue
             kind, version, encode, _decode = CODECS[output]
-            filename = f"stage-{output}.jsonl"
-            sha256, size = write_stage_file(
-                self.root / filename, kind, version, encode(value)
-            )
-            files[output] = FileEntry(
-                filename=filename,
+            bin_name = sidecar_filename(output)
+            writer = SidecarWriter(self.root / bin_name, kind, version)
+            meta_records = list(encode(value, writer))
+            bin_sha, bin_size = writer.finish()
+            files[f"{output}.bin"] = FileEntry(
+                filename=bin_name,
                 kind=kind,
                 codec_version=version,
-                sha256=sha256,
-                size_bytes=size,
+                sha256=bin_sha,
+                size_bytes=bin_size,
+            )
+            meta_name = f"stage-{output}.meta.jsonl"
+            meta_sha, meta_size = write_stage_file(
+                self.root / meta_name, kind, version, meta_records
+            )
+            files[f"{output}.meta"] = FileEntry(
+                filename=meta_name,
+                kind=kind,
+                codec_version=version,
+                sha256=meta_sha,
+                size_bytes=meta_size,
             )
         self.manifest.stages[name] = StageEntry(
             files=files, report=_report_to_jsonable(report)
@@ -301,85 +274,57 @@ _LAZY_OUTPUTS = frozenset({"store", "weighted_graph", "multigraph"})
 
 
 def _has_output(files: dict[str, FileEntry], output: str) -> bool:
-    """Whether ``files`` satisfies ``output`` in either representation."""
-    return output in files or (
-        f"{output}.meta" in files and f"{output}.bin" in files
-    )
+    """Whether ``files`` carries ``output``'s sidecar and meta entries."""
+    return f"{output}.meta" in files and f"{output}.bin" in files
 
 
 def _prepare_output(
-    root: pathlib.Path,
-    files: dict[str, FileEntry],
-    output: str,
-    prefer_sidecar: bool = True,
+    root: pathlib.Path, files: dict[str, FileEntry], output: str
 ):
     """Verify one output's stage files now; return its decode as a thunk.
 
     Integrity stays load-time — the checksummed ``.meta`` read and the
-    structural sidecar open (or the checksummed legacy read) happen
-    eagerly, so a corrupted or torn stage raises its typed error from
-    ``load_artifact`` itself.  Only the value construction is deferred,
-    which lets the loader hand rarely-dereferenced outputs (the query
-    log, the similarity graphs) to :class:`OfflineArtifacts` as lazy
-    factories.
+    structural sidecar open happen eagerly, so a corrupted or torn stage
+    raises its typed error from ``load_artifact`` itself.  Only the
+    value construction is deferred, which lets the loader hand
+    rarely-dereferenced outputs (the query log, the similarity graphs)
+    to :class:`OfflineArtifacts` as lazy factories.
 
-    A sidecar-capable output present in both forms loads zero-copy
-    unless ``prefer_sidecar`` is off (the bench uses that to measure the
-    legacy decode side by side); version-gated fallback keeps artifacts
-    written before the sidecar era loading through the v1 codec
-    unchanged.
+    An output the manifest lists only under its bare name was written in
+    the pre-sidecar JSON-lines column encoding this build no longer
+    reads: that is a version problem (rebuild), not damage.
     """
-    sidecar = SIDECAR_CODECS.get(output)
-    meta_entry = files.get(f"{output}.meta")
-    bin_entry = files.get(f"{output}.bin")
-    if (
-        sidecar is not None
-        and meta_entry is not None
-        and bin_entry is not None
-        and (prefer_sidecar or output not in files)
-    ):
-        kind, version, _encode, decode = sidecar
-        records = read_stage_records(
-            root / meta_entry.filename,
-            kind=kind,
-            version=version,
-            sha256=meta_entry.sha256,
-            size_bytes=meta_entry.size_bytes,
-        )
-        view = open_sidecar(
-            root / bin_entry.filename,
-            kind=kind,
-            codec_version=version,
-            size_bytes=bin_entry.size_bytes,
-        )
-        return lambda: decode(records, view)
-    entry = files.get(output)
-    if entry is None:
-        raise ArtifactCorruptError(f"no stage file provides output {output!r}")
-    kind, version, _encode, decode = CODECS[output]
-    if entry.kind != kind:
+    if not _has_output(files, output):
+        if output in files:
+            raise ArtifactVersionError(
+                f"{root}: output {output!r} is stored in the retired "
+                "pre-sidecar column encoding; rebuild the artifact with "
+                "`python -m repro build --out`"
+            )
         raise ArtifactCorruptError(
-            f"manifest says {output!r} is a {entry.kind!r} stage, "
-            f"codec expects {kind!r}"
+            f"{root}: no stage file provides output {output!r}"
         )
+    meta_entry, bin_entry = files[f"{output}.meta"], files[f"{output}.bin"]
+    kind, version, _encode, decode = CODECS[output]
     records = read_stage_records(
-        root / entry.filename,
+        root / meta_entry.filename,
         kind=kind,
         version=version,
-        sha256=entry.sha256,
-        size_bytes=entry.size_bytes,
+        sha256=meta_entry.sha256,
+        size_bytes=meta_entry.size_bytes,
     )
-    return lambda: decode(records)
+    view = open_sidecar(
+        root / bin_entry.filename,
+        kind=kind,
+        codec_version=version,
+        size_bytes=bin_entry.size_bytes,
+    )
+    return lambda: decode(records, view)
 
 
-def _decode_output(
-    root: pathlib.Path,
-    files: dict[str, FileEntry],
-    output: str,
-    prefer_sidecar: bool = True,
-):
+def _decode_output(root: pathlib.Path, files: dict[str, FileEntry], output: str):
     """Decode one output now (see :func:`_prepare_output`)."""
-    return _prepare_output(root, files, output, prefer_sidecar)()
+    return _prepare_output(root, files, output)()
 
 
 # -- the read side -----------------------------------------------------------
@@ -442,7 +387,6 @@ def save_artifact(
     snapshot_version: int,
     refresher: RefresherState | None = None,
     engine: tuple[dict, int] | None = None,
-    legacy_columns: bool = True,
 ) -> Manifest:
     """Write a complete artifact for an already-built system in one call.
 
@@ -473,7 +417,7 @@ def save_artifact(
     if scratch.exists():
         shutil.rmtree(scratch)
     try:
-        builder = ArtifactBuilder(scratch, config, legacy_columns=legacy_columns)
+        builder = ArtifactBuilder(scratch, config)
         reports = {report.name: report for report in offline.clock.reports}
         builder.save_stage("log", {"store": offline.store})
         builder.save_stage(
@@ -567,31 +511,24 @@ def load_artifact_stages(
     by_output: dict[str, FileEntry] = {}
     for entry in manifest.stages.values():
         by_output.update(entry.files)
-    values: dict[str, object] = {}
-    for output in outputs:
-        if not _has_output(by_output, output):
-            raise ArtifactCorruptError(
-                f"{root}: no stage provides output {output!r}"
-            )
-        values[output] = _decode_output(root, by_output, output)
+    values = {
+        output: _decode_output(root, by_output, output) for output in outputs
+    }
     return PartialArtifact(config=config, manifest=manifest, values=values)
 
 
 def load_artifact(
-    root,
-    expected_config: ESharpConfig | None = None,
-    *,
-    prefer_sidecar: bool = True,
+    root, expected_config: ESharpConfig | None = None
 ) -> LoadedArtifact:
     """Load a complete artifact directory, verifying everything.
 
-    Sidecar-capable stages load zero-copy off their mmap'd ``.bin``
-    files when present (``prefer_sidecar=False`` forces the legacy
-    base64 path — the load bench measures both).  Raises
+    Every stage loads zero-copy off its mmap'd ``.bin`` sidecar.  Raises
     :class:`ArtifactError` subclasses on any problem: missing or
-    unfinished manifest, unsupported format versions, checksum failures,
-    malformed stages, or (when ``expected_config`` is given) an artifact
-    built from a different configuration.
+    unfinished manifest, unsupported format versions (including a
+    directory written only in the retired pre-sidecar encoding — rebuild
+    it), checksum failures, malformed stages, or (when
+    ``expected_config`` is given) an artifact built from a different
+    configuration.
     """
     root = pathlib.Path(root)
     manifest, config = _verified_manifest(root, expected_config)
@@ -607,20 +544,11 @@ def load_artifact(
                 f"{root} is marked complete but stage {spec.name!r} is missing"
             )
         for output in spec.outputs:
-            if not _has_output(entry.files, output):
-                raise ArtifactCorruptError(
-                    f"{root}: stage {spec.name!r} lacks output {output!r}"
-                )
-            if output in _LAZY_OUTPUTS:
-                # verified now (typed errors at load), decoded on first
-                # dereference — pure serving never touches these
-                values[output] = _prepare_output(
-                    root, entry.files, output, prefer_sidecar
-                )
-            else:
-                values[output] = _decode_output(
-                    root, entry.files, output, prefer_sidecar
-                )
+            # verified now (typed errors at load); the lazy outputs are
+            # decoded on first dereference — pure serving never touches
+            # them
+            thunk = _prepare_output(root, entry.files, output)
+            values[output] = thunk if output in _LAZY_OUTPUTS else thunk()
         report = _report_from_jsonable(entry.report)
         if report is not None:
             # replay the build's Table 9 accounting: a warm start did not
@@ -628,38 +556,28 @@ def load_artifact(
             clock.record(report)
 
     corpus_entry = manifest.stages.get("corpus")
-    if corpus_entry is None or not _has_output(corpus_entry.files, "corpus"):
+    if corpus_entry is None:
         raise ArtifactCorruptError(f"{root}: corpus stage is missing")
-    platform = _decode_output(
-        root, corpus_entry.files, "corpus", prefer_sidecar
-    )
+    platform = _decode_output(root, corpus_entry.files, "corpus")
 
     engine = None
     engine_entry = manifest.stages.get("engine")
     if engine_entry is not None and _has_output(
         engine_entry.files, "engine_index"
     ):
-        engine = _decode_output(
-            root, engine_entry.files, "engine_index", prefer_sidecar
-        )
+        engine = _decode_output(root, engine_entry.files, "engine_index")
 
     refresher = None
     refresher_entry = manifest.stages.get("refresher")
     if refresher_entry is not None:
-        if not (
-            _has_output(refresher_entry.files, "refresher_store")
-            and _has_output(refresher_entry.files, "refresher_edges")
-        ):
-            raise ArtifactCorruptError(
-                f"{root}: refresher stage is missing an output"
-            )
-        store = _decode_output(
-            root, refresher_entry.files, "refresher_store", prefer_sidecar
+        refresher = RefresherState(
+            store=_decode_output(
+                root, refresher_entry.files, "refresher_store"
+            ),
+            edges=_decode_output(
+                root, refresher_entry.files, "refresher_edges"
+            ),
         )
-        edges = _decode_output(
-            root, refresher_entry.files, "refresher_edges", prefer_sidecar
-        )
-        refresher = RefresherState(store=store, edges=edges)
 
     offline = OfflineArtifacts(
         # deferred: the deterministic world rebuild (~60 ms at standard

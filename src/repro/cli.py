@@ -92,8 +92,7 @@ def _source_of(args: argparse.Namespace) -> dict:
 def cmd_build(args: argparse.Namespace) -> int:
     print(f"building e# ({args.scale}, seed={args.seed})...", file=sys.stderr)
     system = ESharp(_config(args.scale, args.seed)).build(
-        artifact_dir=args.out,
-        legacy_columns=not getattr(args, "no_legacy", False),
+        artifact_dir=args.out
     )
     offline = system.offline
     print(f"world:    {len(offline.world.topics)} topics, "
@@ -894,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persist every stage as a versioned artifact "
                               "(re-running resumes from the last completed "
                               "stage)")
-    p_build.add_argument("--no-legacy", action="store_true",
-                         help="write packed stages as binary sidecars only, "
-                              "dropping the base64 column blobs (smaller "
-                              "artifacts; older readers cannot load them)")
     p_build.add_argument("--save-domains", metavar="PATH",
                          help="write the domain collection as TSV")
     p_build.add_argument("--json", metavar="PATH",

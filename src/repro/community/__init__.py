@@ -8,7 +8,8 @@ as future work (Louvain, label propagation) for the ablation bench.
 Two implementations of the paper's algorithm exist and are cross-checked
 in tests: a pure-Python fast path (:mod:`repro.community.parallel`) and a
 literal SQL run of Figure 4 on the relational engine
-(:mod:`repro.community.sql_runner`).
+(:mod:`repro.community.sql_runner` — import it by that path; it is not
+re-exported here so the serving import path never loads the SQL engine).
 """
 
 from repro.community.partition import Partition, singleton_partition
@@ -29,7 +30,6 @@ from repro.community.incremental import (
     IncrementalClusteringConfig,
     IncrementalOutcome,
 )
-from repro.community.sql_runner import SqlCommunityDetector, FIGURE4_SQL
 from repro.community.newman import NewmanGreedyDetector
 from repro.community.louvain import LouvainDetector
 from repro.community.labelprop import LabelPropagationDetector
@@ -39,7 +39,6 @@ from repro.community.quality import normalized_mutual_information, purity
 
 __all__ = [
     "CommunityStats",
-    "FIGURE4_SQL",
     "IncrementalClusterer",
     "IncrementalClusteringConfig",
     "IncrementalOutcome",
@@ -51,7 +50,6 @@ __all__ = [
     "ParallelConfig",
     "Partition",
     "SizeBucket",
-    "SqlCommunityDetector",
     "closest_communities",
     "community_modularity",
     "delta_modularity",

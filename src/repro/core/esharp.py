@@ -82,17 +82,13 @@ class ESharp:
 
     # -- lifecycle --------------------------------------------------------------
 
-    def build(
-        self, artifact_dir=None, *, legacy_columns: bool = True
-    ) -> "ESharp":
+    def build(self, artifact_dir=None) -> "ESharp":
         """Run the offline stage and materialise the microblog corpus.
 
         ``artifact_dir`` checkpoints the build: every completed stage is
         persisted there as a versioned artifact, a re-run resumes from
         the last completed stage, and the finished directory is loadable
         with :meth:`from_artifact` (warm start — no rebuild).
-        ``legacy_columns=False`` drops the base64 column blobs from the
-        persisted stages, leaving only the binary sidecar form.
         """
         builder = None
         with self._swap_lock:
@@ -104,9 +100,7 @@ class ESharp:
             else:
                 from repro.artifact import ArtifactBuilder
 
-                builder = ArtifactBuilder(
-                    artifact_dir, self.config, legacy_columns=legacy_columns
-                )
+                builder = ArtifactBuilder(artifact_dir, self.config)
                 offline = OfflinePipeline(self.config).run(checkpoint=builder)
                 platform = builder.load_corpus()
                 if platform is None:
@@ -149,11 +143,7 @@ class ESharp:
 
     @classmethod
     def from_artifact(
-        cls,
-        path,
-        expected_config: ESharpConfig | None = None,
-        *,
-        prefer_sidecar: bool = True,
+        cls, path, expected_config: ESharpConfig | None = None
     ) -> "ESharp":
         """Warm-start a system from an artifact directory (no rebuild).
 
@@ -166,15 +156,11 @@ class ESharp:
         — the same generation.  ``expected_config`` guards against
         loading an artifact built from a different config/seed
         (:class:`~repro.artifact.ArtifactMismatchError`).
-        ``prefer_sidecar=False`` forces the legacy base64 decode path
-        even when binary sidecars are present (benchmarks compare both).
         """
         from repro.artifact import load_artifact
         from repro.core.incremental import DeltaRefresh
 
-        loaded = load_artifact(
-            path, expected_config, prefer_sidecar=prefer_sidecar
-        )
+        loaded = load_artifact(path, expected_config)
         system = cls(loaded.config)
         with system._swap_lock:
             detector = PalCountsDetector(
@@ -293,7 +279,7 @@ class ESharp:
         ]
         return DomainStore(owned)
 
-    def save_artifact(self, path, *, legacy_columns: bool = True):
+    def save_artifact(self, path, *, legacy_columns: bool = False):
         """Persist the current serving generation as an artifact directory.
 
         Includes the incremental refresher's maintained join state when
@@ -301,9 +287,16 @@ class ESharp:
         :meth:`refresh_domains_delta` resumes across processes — the
         missing half of in-process incremental refresh.  Returns the
         written :class:`~repro.artifact.Manifest`.
-        ``legacy_columns=False`` writes sidecar-only stage files.
         """
         from repro.artifact import RefresherState, save_artifact
+
+        # shim: the frozen benchmarks/e2e/build_child.py still passes
+        # legacy_columns=False; the next benchmark PR drops it and this
+        if legacy_columns:
+            raise ValueError(
+                "the pre-sidecar column encoding was removed; artifacts "
+                "are always written as binary sidecars"
+            )
 
         # Collect one consistent generation's references under the swap
         # lock, then write it outside: the captured objects (snapshot,
@@ -339,7 +332,6 @@ class ESharp:
             snapshot_version=snapshot.version,
             refresher=state,
             engine=engine,
-            legacy_columns=legacy_columns,
         )
 
     @property

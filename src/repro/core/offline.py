@@ -25,7 +25,6 @@ from repro.community.parallel import (
     ParallelCommunityDetector,
 )
 from repro.community.partition import Partition
-from repro.community.sql_runner import SqlCommunityDetector
 from repro.core.config import ESharpConfig
 from repro.expansion.domainstore import DomainStore
 from repro.querylog.generator import QueryLogGenerator
@@ -288,6 +287,10 @@ class OfflinePipeline:
         with clock.stage("Clustering", workers=1) as report:
             report.bytes_read = multigraph.storage_bytes()
             if self.config.use_sql_clustering:
+                # imported here so a serving process never loads the SQL
+                # engine (the Figure 4 run is an offline-only option)
+                from repro.community.sql_runner import SqlCommunityDetector
+
                 sql_detector = SqlCommunityDetector(
                     multigraph, self.config.clustering
                 )

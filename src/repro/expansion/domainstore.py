@@ -9,11 +9,13 @@ the offline pipeline accounts its output size for Table 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.community.partition import Partition
-from repro.relational.schema import Schema
-from repro.relational.table import Table
 from repro.utils.text import phrase_key
+
+if TYPE_CHECKING:
+    from repro.relational.table import Table
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,10 @@ class DomainStore:
 
     def to_table(self) -> Table:
         """Relational export: ``domains(domain_id, keyword)``."""
+        # imported here so a serving process never loads the SQL engine
+        from repro.relational.schema import Schema
+        from repro.relational.table import Table
+
         rows = [
             (domain_id, keyword)
             for domain_id in sorted(self._domains)

@@ -122,40 +122,6 @@ class QueryLogStore:
         return iter(self._clicks.items())
 
     @classmethod
-    def restore(
-        cls,
-        *,
-        min_support: int,
-        impressions: int,
-        raw_bytes: int,
-        query_counts: Iterable[tuple[str, int]],
-        clicks: Iterable[tuple[str, str, int]],
-    ) -> "QueryLogStore":
-        """Rebuild a store from persisted aggregates, byte-exactly.
-
-        The inverse of :meth:`iter_query_counts`/:meth:`iter_clicks`:
-        counters are replayed in the given order so the restored store's
-        iteration order — and everything derived from it — matches the
-        original.
-        """
-        if impressions < 0 or raw_bytes < 0:
-            raise ValueError("impressions/raw_bytes must be non-negative")
-        store = cls(min_support=min_support)
-        for query, count in query_counts:
-            if count <= 0:
-                raise ValueError(f"count for {query!r} must be positive")
-            store._query_counts[query] = count
-        for query, url, count in clicks:
-            if count <= 0:
-                raise ValueError(
-                    f"clicks for ({query!r}, {url!r}) must be positive"
-                )
-            store._clicks[(query, url)] = count
-        store._impressions = impressions
-        store._raw_bytes = raw_bytes
-        return store
-
-    @classmethod
     def restore_columnar(
         cls,
         *,
@@ -165,16 +131,18 @@ class QueryLogStore:
         query_counts: dict,
         clicks: dict,
     ) -> "QueryLogStore":
-        """Bulk variant of :meth:`restore` for prebuilt dicts.
+        """Rebuild a store from persisted aggregates, byte-exactly.
 
+        The inverse of :meth:`iter_query_counts`/:meth:`iter_clicks`.
         The columnar artifact codec assembles the counter contents with
         C-level ``zip``/``dict`` construction; this installs them
         directly — validating in bulk with ``min()`` rather than one
         branch per pair — which is the difference between a ~0.3 s and a
         ~0.01 s query-log restore at standard scale.  Insertion order of
-        the passed dicts is preserved verbatim (the same order contract
-        as :meth:`restore`: downstream ``SparseVector`` norms sum floats
-        in this order).
+        the passed dicts is preserved verbatim, so the restored store's
+        iteration order — and everything derived from it — matches the
+        original (downstream ``SparseVector`` norms sum floats in this
+        order).
         """
         if impressions < 0 or raw_bytes < 0:
             raise ValueError("impressions/raw_bytes must be non-negative")

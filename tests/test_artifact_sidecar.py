@@ -11,8 +11,8 @@ Four contracts from the sidecar design:
   reader holding mmap views keeps reading valid bytes while a writer
   seals and mutates;
 * delta refresh on an mmap-backed warm start is byte-identical to the
-  same refresh on an owned-array load — the vectorized/zero-copy plumbing
-  never leaks into results.
+  same refresh on a freshly built (owned-array) system — the
+  vectorized/zero-copy plumbing never leaks into results.
 
 The vectorized scoring tail (``detector/vectorized.py``) is likewise
 property-tested bit-identical to the scalar ``normalize → score → rank``
@@ -362,11 +362,13 @@ class TestSealingUnderConcurrentReaders:
 
 
 class TestDeltaRefreshParity:
-    def test_mmap_and_owned_loads_refresh_identically(
+    def test_mmap_load_and_owned_build_refresh_identically(
         self, small_config, artifact_dir
     ):
         mapped = ESharp.from_artifact(artifact_dir)
-        owned = ESharp.from_artifact(artifact_dir, prefer_sidecar=False)
+        # the owned side is a build of its own (the shared ``system``
+        # fixture must not be refreshed under other tests' feet)
+        owned = ESharp(small_config).build()
         assert mapped.platform._buffer_backed
         assert not owned.platform._buffer_backed
 

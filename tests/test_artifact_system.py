@@ -22,6 +22,7 @@ from repro.artifact import (
     ArtifactError,
     ArtifactIncompleteError,
     ArtifactMismatchError,
+    ArtifactVersionError,
     load_artifact,
     read_manifest,
 )
@@ -130,22 +131,18 @@ class TestCorruptionHandling:
 
     def test_truncated_stage_file_is_typed(self, copy):
         # a torn sidecar write is caught structurally (size vs manifest)
-        # before any column decodes; the legacy form is checksummed
+        # before any column decodes
         manifest = read_manifest(copy)
         files = manifest.stages["domains"].files
         bin_path = copy / files["domain_store.bin"].filename
         bin_path.write_bytes(bin_path.read_bytes()[:-20])
         with pytest.raises(ArtifactCorruptError):
             load_artifact(copy)
-        legacy_path = copy / files["domain_store"].filename
-        legacy_path.write_bytes(legacy_path.read_bytes()[:-20])
-        with pytest.raises(ArtifactCorruptError):
-            load_artifact(copy, prefer_sidecar=False)
 
     def test_bit_flip_is_typed(self, copy):
-        # the loader prefers the sidecar form, so flip the meta file it
-        # actually reads (a payload flip inside the .bin is detected by
-        # verify_payload, which is on-demand by design — see sidecar.py)
+        # flip the checksummed meta file (a payload flip inside the .bin
+        # is detected by verify_payload, which is on-demand by design —
+        # see sidecar.py)
         manifest = read_manifest(copy)
         entry = manifest.stages["log"].files["store.meta"]
         path = copy / entry.filename
@@ -155,25 +152,12 @@ class TestCorruptionHandling:
         with pytest.raises(ArtifactCorruptError):
             load_artifact(copy)
 
-    def test_bit_flip_in_legacy_file_is_typed(self, copy):
-        manifest = read_manifest(copy)
-        entry = manifest.stages["log"].files["store"]
-        path = copy / entry.filename
-        payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        path.write_bytes(bytes(payload))
-        with pytest.raises(ArtifactCorruptError):
-            load_artifact(copy, prefer_sidecar=False)
-
     def test_missing_stage_file_is_typed(self, copy):
         manifest = read_manifest(copy)
         files = manifest.stages["corpus"].files
         (copy / files["corpus.bin"].filename).unlink()
         with pytest.raises(ArtifactCorruptError):
             load_artifact(copy)
-        (copy / files["corpus"].filename).unlink()
-        with pytest.raises(ArtifactCorruptError):
-            load_artifact(copy, prefer_sidecar=False)
 
     def test_incomplete_build_refuses_to_load(self, copy):
         data = json.loads((copy / "manifest.json").read_text())
@@ -185,6 +169,33 @@ class TestCorruptionHandling:
     def test_missing_manifest_is_typed(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_artifact(tmp_path)
+
+    def test_pre_sidecar_directory_asks_for_a_rebuild(self, system, copy):
+        # a dual-form directory (bare-name entry beside the sidecar pair)
+        # keeps loading: the reader never looks at the bare entry
+        data = json.loads((copy / "manifest.json").read_text())
+        files = data["stages"]["log"]["files"]
+        files["store"] = dict(files["store.meta"], filename="stage-store.jsonl")
+        (copy / "manifest.json").write_text(json.dumps(data))
+        assert load_artifact(copy).offline.store.impressions == (
+            system.offline.store.impressions
+        )
+        # what a pre-sidecar build left behind — a complete manifest whose
+        # query-log stage is listed only under its bare output name — is
+        # a version problem
+        del files["store.meta"], files["store.bin"]
+        (copy / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(ArtifactVersionError, match="rebuild"):
+            load_artifact(copy)
+        # and a checkpointed rebuild treats that stage as absent
+        builder = ArtifactBuilder(copy, system.config)
+        assert not builder.has_stage("log", ("store",))
+        assert builder.has_stage("domains", ("domain_store",))
+
+    def test_save_artifact_refuses_the_removed_encoding(self, system, tmp_path):
+        with pytest.raises(ValueError):
+            system.save_artifact(tmp_path / "out", legacy_columns=True)
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckpointedBuilds:
@@ -217,7 +228,7 @@ class TestCheckpointedBuilds:
 
         # wreck the clustering checkpoint: resume must keep the extract
         # prefix, recompute cluster + domains, and still match exactly
-        entry = manifest.stages["cluster"].files["partition"]
+        entry = manifest.stages["cluster"].files["partition.bin"]
         (out / entry.filename).write_bytes(b"garbage")
         resumed = ESharp(config).build(artifact_dir=out)
         assert (
@@ -419,16 +430,9 @@ class TestVersionedPublish:
             if not spec.checkpointable:
                 continue
             entry = manifest.stages[spec.name]
-            # every output is present in legacy form; sidecar-capable
-            # outputs additionally carry paired <output>.bin/.meta files
-            assert set(spec.outputs) <= set(entry.files)
-            extras = set(entry.files) - set(spec.outputs)
-            for key in extras:
-                base, _, suffix = key.rpartition(".")
-                assert suffix in {"bin", "meta"}
-                assert base in spec.outputs
-            assert {k for k in extras if k.endswith(".bin")} == {
-                k[: -len(".meta")] + ".bin"
-                for k in extras
-                if k.endswith(".meta")
+            # every output is exactly its paired <output>.bin/.meta files
+            assert set(entry.files) == {
+                f"{output}.{suffix}"
+                for output in spec.outputs
+                for suffix in ("bin", "meta")
             }

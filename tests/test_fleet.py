@@ -12,6 +12,10 @@ round-trip proving the wire format preserves it across processes.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -693,6 +697,29 @@ class TestServingSatellites:
         assert stats.cache_hit_ratio == pytest.approx(0.5)
         assert report.snapshot_version == system.snapshots.version
         assert report.cache_hit_ratio == pytest.approx(0.5)
+
+
+class TestServingImportPath:
+    def test_serving_processes_never_load_the_relational_engine(self):
+        """A worker or a warm-started system imports no SQL engine: it is
+        the Figure 4 specification, used only by offline options."""
+        import repro
+
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        probe = (
+            "import sys, repro.fleet.worker, repro.core.esharp; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.relational') or m.endswith('sql_runner')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 # -- the CLI front door -------------------------------------------------------

@@ -189,16 +189,8 @@ class TestStartupFailures:
     ):
         corrupt = tmp_path / "corrupt-artifact"
         shutil.copytree(artifact_dir, corrupt)
-        # skip legacy files shadowed by a sidecar sibling — the loader
-        # prefers the sidecar form, so only still-read files count
         stage = max(
-            (
-                p
-                for p in corrupt.glob("stage-*.jsonl")
-                if p.name.endswith(".meta.jsonl")
-                or not (p.parent / f"{p.stem}.meta.jsonl").exists()
-            ),
-            key=lambda p: p.stat().st_size,
+            corrupt.glob("stage-*.meta.jsonl"), key=lambda p: p.stat().st_size
         )
         payload = bytearray(stage.read_bytes())
         middle = len(payload) // 2
