@@ -18,6 +18,22 @@ replica (same artifact generation ⇒ bit-equal floats), the merged
 ranking is byte-identical to what one replica scoring every term would
 have returned — the property test in ``tests/test_fleet.py`` proves it
 for arbitrary queries.
+
+**A leg ships only its top** ``limit`` (its best ``limit`` users by
+``(-score, user_id)``), and for any merge with ``max_results <= limit``
+that loses nothing.  Suppose user U is in the merged top K through leg
+L's entry.  Any user V ahead of U in L's own order has a leg score that
+beats U's (or ties it with a smaller ``user_id``); V's merged score is
+at least its leg score, and U's merged score *is* its L score, so V is
+ahead of U in the merged order too.  Fewer than K users precede U in
+the merged order, hence fewer than K precede it in L's: U is inside L's
+top K and was shipped.  A user not in the merged top K is never looked
+at.  ``score >= threshold`` keeps a prefix of the sorted list, so
+cutting before thresholding is safe for every ``min_zscore``; and the
+argument never mentions the other legs, so it holds for any surviving
+subset of them — a degraded ``coverage < 1.0`` merge is exact over the
+terms that answered.  The merge therefore refuses a pool cut at fewer
+than its own ``max_results``: that one could be missing a winner.
 """
 
 from __future__ import annotations
@@ -45,7 +61,8 @@ def merge_partials(
 
     Raises :class:`FleetVersionSkewError` when the legs answered from
     different snapshot versions (a promotion raced the scatter) — the
-    router retries rather than serve a cross-generation ranking.
+    router retries rather than serve a cross-generation ranking — and
+    :class:`FleetError` for a pool cut below ``max_results``.
     """
     pools = list(pools)
     if not pools:
@@ -59,6 +76,12 @@ def merge_partials(
     if len(versions) > 1:
         raise FleetVersionSkewError(
             f"scatter legs answered from mixed snapshot versions {versions}"
+        )
+    shallow = [pool.limit for pool in pools if pool.limit < max_results]
+    if shallow:
+        raise FleetError(
+            f"scatter legs cut at {shallow} cannot fill a merge of "
+            f"max_results={max_results}"
         )
     best: Dict[int, Tuple[int, RankedExpert]] = {}
     for pool in pools:

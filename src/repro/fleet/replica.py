@@ -11,7 +11,8 @@ Two transports behind one duck type:
   futures by request id, so many requests overlap on one worker.
 
 Both expose the same surface: ``query`` / ``score_partial`` (the scatter
-unit) / ``health`` / ``preload`` + ``promote`` (the two promotion
+unit: a term slice's top ``limit``, ``limit`` required) / ``health`` /
+``preload`` + ``promote`` (the two promotion
 phases) / ``close``, plus the resilience hooks the supervisor leans on:
 ``is_alive`` (cheap liveness), ``ping(timeout=...)`` (bounded
 responsiveness probe), and ``supports_budget`` (the router only passes
@@ -54,6 +55,7 @@ from repro.fleet.wire import (
     health_from_wire,
     parse_message,
     partial_from_wire,
+    read_frame,
     write_message,
 )
 from repro.serving.errors import DeadlineExceededError, UnknownTenantError
@@ -144,17 +146,22 @@ class InProcessReplica:
         query: str,
         indexed_terms: Iterable[Tuple[int, str]],
         *,
+        limit: int,
         budget_seconds: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
     ) -> PartialPool:
         fire("replica.call", replica=self.name, op="partial", tenant=tenant)
         if self._multi:
             return self.service.score_partial(
-                tenant, query, indexed_terms, budget_seconds=budget_seconds
+                tenant,
+                query,
+                indexed_terms,
+                limit=limit,
+                budget_seconds=budget_seconds,
             )
         self._check_tenant(tenant)
         return self.service.score_partial(
-            query, indexed_terms, budget_seconds=budget_seconds
+            query, indexed_terms, limit=limit, budget_seconds=budget_seconds
         )
 
     def health(self) -> ReplicaHealthReport:
@@ -289,6 +296,9 @@ class SubprocessReplica:
         self._pending_lock = threading.Lock()
         self._pending: dict[int, Future] = {}  # guarded-by: _pending_lock
         self._next_id = 0  # guarded-by: _pending_lock
+        #: why the reader thread stopped (None while it runs); nothing
+        #: can resolve a reply after that, so no request is accepted
+        self._reader_error: Optional[WorkerProtocolError] = None  # guarded-by: _pending_lock
         self._stderr_lock = threading.Lock()
         self._stderr_tail: deque = deque(  # guarded-by: _stderr_lock
             maxlen=STDERR_TAIL_LINES
@@ -351,12 +361,14 @@ class SubprocessReplica:
         query: str,
         indexed_terms: Iterable[Tuple[int, str]],
         *,
+        limit: int,
         budget_seconds: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
     ) -> PartialPool:
         payload = {
             "query": query,
             "terms": [[int(i), str(t)] for i, t in indexed_terms],
+            "limit": limit,
             "tenant": tenant,
         }
         if budget_seconds is not None:
@@ -374,8 +386,11 @@ class SubprocessReplica:
         return self._process.pid
 
     def is_alive(self) -> bool:
-        """Cheap liveness: the child process exists and we still own it."""
-        return not self._closed and self._process.poll() is None
+        """Cheap liveness: we still own the child, it exists, and the
+        reader thread that resolves its replies is still running."""
+        with self._pending_lock:
+            reading = self._reader_error is None
+        return reading and not self._closed and self._process.poll() is None
 
     def ping(self, timeout: Optional[float] = None) -> bool:
         """Bounded responsiveness probe; never raises."""
@@ -476,6 +491,11 @@ class SubprocessReplica:
                 raise WorkerProtocolError(
                     f"replica {self.name}: already closed"
                 )
+            if self._reader_error is not None:
+                raise WorkerProtocolError(
+                    f"replica {self.name}: no longer reading replies "
+                    f"({self._reader_error})"
+                )
             self._next_id += 1
             request_id = self._next_id
             future: Future = Future()
@@ -516,29 +536,35 @@ class SubprocessReplica:
     def _read_loop(self) -> None:
         stdout = self._process.stdout
         assert stdout is not None
+        stopped: Optional[WorkerProtocolError] = None
         try:
-            for line in stdout:
-                line = line.strip()
-                if not line:
+            while True:
+                line = read_frame(stdout)
+                if line is None:
+                    break
+                if not line.strip():
                     continue
-                try:
-                    message = parse_message(line)
-                except WorkerProtocolError as exc:
-                    self._fail_pending(exc)
-                    return
+                message = parse_message(line)
                 if message.get("op") == "ready":
                     if not self._ready.done():
                         self._ready.set_result(message)
                     continue
                 self._resolve(message)
+        except WorkerProtocolError as exc:
+            # an oversize or undecodable reply: the stream cannot be
+            # trusted past it, so this replica is done
+            stopped = exc
         finally:
-            died = WorkerProtocolError(
-                f"replica {self.name}: worker exited "
-                f"(code {self._process.poll()})"
-            )
+            if stopped is None:
+                stopped = WorkerProtocolError(
+                    f"replica {self.name}: worker exited "
+                    f"(code {self._process.poll()})"
+                )
+            with self._pending_lock:
+                self._reader_error = stopped
             if not self._ready.done():
-                self._ready.set_exception(died)
-            self._fail_pending(died)
+                self._ready.set_exception(stopped)
+            self._fail_pending(stopped)
 
     def _drain_stderr(self) -> None:
         stderr = self._process.stderr

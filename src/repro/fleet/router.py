@@ -11,15 +11,19 @@ or ``fleet-worker`` subprocesses — one shard each), a deterministic
    for matched queries under domain-partition sharding, and for any
    single-term query), the whole query goes to that shard's replica —
    its result cache serves repeats.  Otherwise the terms **scatter** as
-   ``score_partial`` legs to their owning shards and the partial pools
-   **gather** through :func:`~repro.fleet.merge.merge_partials`, which
-   reproduces the single-replica ranking exactly.
-3. **Hedge.** Every replica call races a latency-percentile deadline
-   (per replica, from the tracker); past it, a backup fires on the
-   next-healthiest replica — any replica can serve any leg because all
-   hold the full corpus — and the first answer wins.  A replica that
-   *fails* fails over the same way immediately, bounded by
-   ``FleetConfig.leg_retries`` per leg.
+   ``score_partial`` legs to their owning shards; each leg returns only
+   its slice's top ``limit`` (the router's result cap — all the merge
+   can use) and the pools **gather** through
+   :func:`~repro.fleet.merge.merge_partials`, which reproduces the
+   single-replica ranking exactly.
+3. **Hedge.** Every leg's primary is spawned on the leaf executor first;
+   the calling thread then drives all of them at once — no thread is
+   created per query.  Each leg races a latency-percentile deadline (per
+   replica, from the tracker) measured from its own spawn; past it, one
+   backup fires on the next-healthiest replica — any replica can serve
+   any leg because all hold the full corpus — and the first answer wins.
+   A replica that *fails* fails over the same way immediately, bounded
+   by ``FleetConfig.leg_retries`` per leg.
 
 Resilience discipline (PR 8) layers onto that path without changing its
 answers:
@@ -57,7 +61,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.detector.ranking import RankedExpert, RankingConfig
@@ -186,6 +190,8 @@ class FleetAnswer:
     hedges: int = 0
     #: fraction of expansion terms the answer covers (1.0 = exact)
     coverage: float = 1.0
+    #: which tenant's corpus answered (as on ``ServedAnswer``)
+    tenant: str = DEFAULT_TENANT
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,29 @@ class FleetStats:
 
 
 @dataclass
-class _HedgedOutcome:
-    value: object
+class _Leg:
+    """One shard's call: its replica attempts in flight and how it ended.
+
+    Touched only by the thread that runs :meth:`FleetRouter._gather`.
+    """
+
+    shard: int
+    call: Callable
+    #: expansion terms this leg covers (degraded-coverage accounting)
+    terms: int = 1
+    primary: str = ""
+    tried: set = field(default_factory=set)
+    flights: Dict[Future, str] = field(default_factory=dict)
+    #: monotonic instant this leg's one backup fires (None: fired or off)
+    hedge_at: Optional[float] = None
     hedges: int = 0
-    backup_won: bool = False
     failovers: int = 0
+    backup_won: bool = False
+    first_error: Optional[BaseException] = None
+    done: bool = False
+    value: object = None
+    #: set instead of ``value`` when every attempt was exhausted
+    error: Optional[BaseException] = None
 
 
 @dataclass(frozen=True)
@@ -597,21 +621,25 @@ class FleetRouter:
         expansion_started = time.perf_counter()
         terms, domain_id = self._expand(route, query)
         expansion_seconds = time.perf_counter() - expansion_started
-        legs = route.sharding.plan(terms)
+        plan = sorted(route.sharding.plan(terms).items())
 
-        if len(legs) == 1:
-            (shard,) = legs
-            outcome = self._call_hedged(
+        if len(plan) == 1:
+            ((shard, _indexed),) = plan
+            leg = _Leg(
                 shard,
-                self._query_call(query, min_zscore, deadline, tenant),
-                deadline,
+                self._replica_call(
+                    "query", deadline, tenant, query, min_zscore
+                ),
             )
-            answer = outcome.value
+            self._gather([leg], deadline)
+            if leg.error is not None:
+                raise leg.error
+            answer = leg.value
             self._account(
                 single=1,
-                hedges=outcome.hedges,
-                hedge_wins=int(outcome.backup_won),
-                failovers=outcome.failovers,
+                hedges=leg.hedges,
+                hedge_wins=int(leg.backup_won),
+                failovers=leg.failovers,
             )
             return FleetAnswer(
                 query=answer.query,
@@ -626,52 +654,59 @@ class FleetRouter:
                 total_seconds=time.perf_counter() - started,
                 mode="single-shard",
                 shards=(shard,),
-                hedges=outcome.hedges,
+                hedges=leg.hedges,
+                tenant=tenant,
             )
 
         threshold = (
             min_zscore if min_zscore is not None else route.ranking.min_zscore
         )
+        max_results = route.ranking.max_results
         detection_started = time.perf_counter()
-        ordered = sorted(legs.items())
-        results, errors = self._scatter(query, ordered, deadline, tenant)
-        outcomes = [outcome for outcome in results if outcome is not None]
-        failures = [exc for exc in errors if exc is not None]
-        served_shards = [
-            shard
-            for (shard, _indexed), outcome in zip(ordered, results)
-            if outcome is not None
+        legs = [
+            _Leg(
+                shard,
+                # a leg's top max_results is all the merge can use
+                self._replica_call(
+                    "score_partial",
+                    deadline,
+                    tenant,
+                    query,
+                    indexed,
+                    limit=max_results,
+                ),
+                terms=len(indexed),
+            )
+            for shard, indexed in plan
         ]
+        self._gather(legs, deadline)
+        served = [leg for leg in legs if leg.error is None]
         coverage = 1.0
-        if failures:
-            if not self.config.allow_degraded or not outcomes:
+        if len(served) < len(legs):
+            failures = [leg.error for leg in legs if leg.error is not None]
+            if not self.config.allow_degraded or not served:
                 misses = [
                     exc
                     for exc in failures
                     if isinstance(exc, DeadlineExceededError)
                 ]
                 raise misses[0] if misses else failures[0]
-            total_terms = sum(len(indexed) for _, indexed in ordered)
-            served_terms = sum(
-                len(indexed)
-                for (_shard, indexed), outcome in zip(ordered, results)
-                if outcome is not None
+            coverage = sum(leg.terms for leg in served) / sum(
+                leg.terms for leg in legs
             )
-            coverage = served_terms / total_terms if total_terms else 0.0
-        pools = [outcome.value for outcome in outcomes]
         experts, version = merge_partials(
-            pools,
+            [leg.value for leg in served],
             threshold=threshold,
-            max_results=route.ranking.max_results,
+            max_results=max_results,
         )
         detection_seconds = time.perf_counter() - detection_started
-        hedges = sum(outcome.hedges for outcome in outcomes)
+        hedges = sum(leg.hedges for leg in served)
         self._account(
             scattered=1,
-            legs=len(ordered),
+            legs=len(legs),
             hedges=hedges,
-            hedge_wins=sum(int(o.backup_won) for o in outcomes),
-            failovers=sum(o.failovers for o in outcomes),
+            hedge_wins=sum(int(leg.backup_won) for leg in served),
+            failovers=sum(leg.failovers for leg in served),
             degraded=int(coverage < 1.0),
         )
         return FleetAnswer(
@@ -686,9 +721,10 @@ class FleetRouter:
             detection_seconds=detection_seconds,
             total_seconds=time.perf_counter() - started,
             mode="scatter-gather",
-            shards=tuple(sorted(served_shards)),
+            shards=tuple(leg.shard for leg in served),
             hedges=hedges,
             coverage=coverage,
+            tenant=tenant,
         )
 
     def _expand(
@@ -716,208 +752,162 @@ class FleetRouter:
             raise UnknownTenantError(tenant, (DEFAULT_TENANT,))
         return {}
 
-    def _query_call(
-        self,
-        query: str,
-        min_zscore: Optional[float],
-        deadline: _Deadline,
-        tenant: str = DEFAULT_TENANT,
+    def _replica_call(
+        self, op: str, deadline: _Deadline, tenant: str, *args, **kwargs
     ) -> Callable:
+        """``replica.<op>(*args, **kwargs)`` plus what the replica
+        declares it understands: the tenant, and the budget still left
+        at the moment the call is actually made."""
+
         def call(replica):
-            kwargs = self._tenant_kwargs(replica, tenant)
+            extra = self._tenant_kwargs(replica, tenant)
             budget = deadline.remaining()
             if budget is not None and getattr(
                 replica, "supports_budget", False
             ):
-                kwargs["budget_seconds"] = max(0.0, budget)
-            return replica.query(query, min_zscore, **kwargs)
+                extra["budget_seconds"] = max(0.0, budget)
+            return getattr(replica, op)(*args, **kwargs, **extra)
 
         return call
 
-    def _partial_call(
-        self,
-        query: str,
-        indexed,
-        deadline: _Deadline,
-        tenant: str = DEFAULT_TENANT,
-    ) -> Callable:
-        def call(replica):
-            kwargs = self._tenant_kwargs(replica, tenant)
-            budget = deadline.remaining()
-            if budget is not None and getattr(
-                replica, "supports_budget", False
-            ):
-                kwargs["budget_seconds"] = max(0.0, budget)
-            return replica.score_partial(query, indexed, **kwargs)
+    # -- the gather loop ---------------------------------------------------------
 
-        return call
+    def _gather(self, legs: List[_Leg], deadline: _Deadline) -> None:
+        """Drive every leg to an answer or a typed error, on this thread.
 
-    def _scatter(
-        self,
-        query: str,
-        ordered: List[Tuple[int, List[Tuple[int, str]]]],
-        deadline: _Deadline,
-        tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[
-        List[Optional[_HedgedOutcome]], List[Optional[BaseException]]
-    ]:
-        """Run every leg's hedged call concurrently; gather in shard order.
-
-        Coordinator threads are plain daemons (one per extra leg; the
-        first leg coordinates on the calling thread) because a hedged
-        call *waits* on executor futures — coordinating on the executor
-        itself could deadlock a saturated pool.  Returns per-leg results
-        and errors aligned with ``ordered``; a leg whose coordinator is
-        still running at the gather deadline counts as failed (the
-        daemon thread is abandoned, its late result discarded).
+        All primaries are spawned on the leaf executor first; this
+        thread then waits on every flight of every open leg at once,
+        waking for the earliest pending hedge.  Per leg: past its hedge
+        deadline (measured from its own spawn) the next-healthiest
+        *admitting* replica gets ONE backup and the first success wins —
+        losers are cancelled (unstarted work is dropped; started work
+        completes and still feeds the tracker); a failed attempt with
+        nothing else in flight fails over, at most ``leg_retries``
+        times, then the leg's first error stands; a deadline miss is
+        terminal for the leg (no failover); a primary whose breaker
+        rejects falls through to the healthiest admitting replica, or
+        :class:`CircuitOpenError` when none is left.  A leg still open
+        when the budget (or ``gather_timeout_seconds``) runs out ends
+        with the typed miss.  Outcomes land on the legs themselves.
         """
-        results: List[Optional[_HedgedOutcome]] = [None] * len(ordered)
-        errors: List[Optional[BaseException]] = [None] * len(ordered)
-
-        def coordinate(position: int, shard: int, indexed) -> None:
-            try:
-                results[position] = self._call_hedged(
-                    shard,
-                    self._partial_call(query, indexed, deadline, tenant),
-                    deadline,
-                )
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors[position] = exc
-
-        threads = [
-            threading.Thread(
-                target=coordinate,
-                args=(position, shard, indexed),
-                name=f"repro-fleet-leg-{shard}",
-                daemon=True,
+        for leg in legs:
+            self._start(leg)
+        expires = time.monotonic() + deadline.clamp(
+            self.config.gather_timeout_seconds
+        )
+        open_legs = [leg for leg in legs if not leg.done]
+        while open_legs:
+            now = time.monotonic()
+            if now >= expires:
+                for leg in open_legs:
+                    self._give_up(leg, deadline)
+                return
+            wake = expires
+            for leg in open_legs:
+                if leg.hedge_at is not None and now >= leg.hedge_at:
+                    self._hedge(leg)
+                if leg.hedge_at is not None:
+                    wake = min(wake, leg.hedge_at)
+            owners = {
+                future: leg for leg in open_legs for future in leg.flights
+            }
+            done, _ = wait(
+                owners, timeout=wake - now, return_when=FIRST_COMPLETED
             )
-            for position, (shard, indexed) in enumerate(ordered)
-            if position > 0
-        ]
-        for thread in threads:
-            thread.start()
-        coordinate(0, *ordered[0])
-        gather_budget = deadline.clamp(self.config.gather_timeout_seconds)
-        expires = time.monotonic() + gather_budget
-        for position, thread in enumerate(threads, start=1):
-            thread.join(timeout=max(0.0, expires - time.monotonic()))
-            if thread.is_alive():
-                # abandon the leg: discard any result that lands later
-                results[position] = None
-                errors[position] = (
-                    DeadlineExceededError(
-                        f"leg {thread.name} missed the "
-                        f"{deadline.budget}s deadline",
-                        budget_seconds=deadline.budget,
-                    )
-                    if deadline.expired()
-                    else NoHealthyReplicaError(
-                        f"gather timed out after "
-                        f"{self.config.gather_timeout_seconds}s waiting for "
-                        f"{thread.name}"
-                    )
-                )
-        return results, errors
+            for future in done:
+                if not owners[future].done:
+                    self._settle(owners[future], future)
+            open_legs = [leg for leg in open_legs if not leg.done]
 
-    def _call_hedged(
-        self, shard: int, call: Callable, deadline: _Deadline
-    ) -> _HedgedOutcome:
-        """Call the shard's replica with hedging + bounded failover.
-
-        The primary runs on the executor so this thread can race it
-        against the tracker's deadline; past the deadline (or on primary
-        failure) the next-healthiest *admitting* replica gets a backup
-        and the first success wins.  The loser future is cancelled —
-        unstarted work is dropped; started work completes and its
-        latency still feeds the tracker.  Failovers stop after
-        ``leg_retries``; deadline misses are terminal (no failover); a
-        primary whose breaker rejects falls through to the healthiest
-        admitting replica, or :class:`CircuitOpenError` when none is
-        left.
-        """
-        primary = self.replicas[shard]
+    def _start(self, leg: _Leg) -> None:
+        """Spawn the leg's primary, breaker permitting."""
+        primary = self.replicas[leg.shard]
         if not self._tracker.admit(primary.name):
             self._account(breaker_rejections=1)
-            fallback = self._next_backup({primary.name})
-            if fallback is None:
-                raise CircuitOpenError(
-                    f"shard {shard}: no replica's circuit breaker admits "
-                    "the call"
+            primary = self._next_backup({primary.name})
+            if primary is None:
+                self._finish(
+                    leg,
+                    CircuitOpenError(
+                        f"shard {leg.shard}: no replica's circuit breaker "
+                        "admits the call"
+                    ),
                 )
-            primary = fallback
-        tried = {primary.name}
-        flights: Dict[Future, str] = {self._spawn(primary, call): primary.name}
-        hedges = 0
-        failovers = 0
-        hedged = False
-        use_deadline = self.config.hedging and len(self.replicas) > 1
-        first_error: Optional[BaseException] = None
-        while flights:
-            remaining = deadline.remaining()
-            if remaining is not None and remaining <= 0:
-                for loser in flights:
-                    loser.cancel()
+                return
+        leg.primary = primary.name
+        self._launch(leg, primary)
+        if self.config.hedging and len(self.replicas) > 1:
+            leg.hedge_at = time.monotonic() + self._tracker.hedge_deadline(
+                primary.name
+            )
+
+    def _launch(self, leg: _Leg, replica) -> None:
+        leg.tried.add(replica.name)
+        leg.flights[self._spawn(replica, leg.call)] = replica.name
+
+    def _hedge(self, leg: _Leg) -> None:
+        """The leg's hedge deadline passed: fire its one backup."""
+        leg.hedge_at = None
+        backup = self._next_backup(leg.tried)
+        if backup is not None:
+            leg.hedges += 1
+            self._launch(leg, backup)
+
+    def _settle(self, leg: _Leg, future: Future) -> None:
+        """One of the leg's flights completed: win, fail over, or fail."""
+        name = leg.flights.pop(future)
+        try:
+            leg.value = future.result()
+        except BaseException as exc:  # noqa: BLE001 - failover
+            if isinstance(exc, DeadlineExceededError):
+                # the budget is spent fleet-wide: retrying elsewhere
+                # cannot beat it
                 self._account(deadline_exceeded=1)
-                raise DeadlineExceededError(
-                    f"deadline budget of {deadline.budget}s exhausted "
-                    f"waiting on shard {shard}",
-                    budget_seconds=deadline.budget,
-                )
-            timeout = (
-                self._tracker.hedge_deadline(primary.name)
-                if use_deadline and not hedged
+                self._finish(leg, exc)
+                return
+            if not isinstance(exc, ServiceClosedError):
+                self._tracker.record_failure(name)
+            if leg.first_error is None:
+                leg.first_error = exc
+            if leg.flights:
+                return  # a hedge is still racing
+            backup = (
+                self._next_backup(leg.tried)
+                if leg.failovers < self.config.leg_retries
                 else None
             )
-            timeout = deadline.clamp(timeout)
-            done, _ = wait(
-                set(flights), timeout=timeout, return_when=FIRST_COMPLETED
+            if backup is None:
+                self._finish(leg, leg.first_error)
+            else:
+                leg.failovers += 1
+                self._launch(leg, backup)
+            return
+        leg.backup_won = name != leg.primary
+        self._finish(leg)
+
+    def _give_up(self, leg: _Leg, deadline: _Deadline) -> None:
+        """The budget (or the gather timeout) ran out under an open leg."""
+        if deadline.expired():
+            self._account(deadline_exceeded=1)
+            error: BaseException = DeadlineExceededError(
+                f"deadline budget of {deadline.budget}s exhausted "
+                f"waiting on shard {leg.shard}",
+                budget_seconds=deadline.budget,
             )
-            if not done:
-                if deadline.expired():
-                    continue  # the loop top raises the typed miss
-                # hedge deadline expired: fire ONE backup, then first
-                # answer wins
-                hedged = True
-                backup = self._next_backup(tried)
-                if backup is not None:
-                    tried.add(backup.name)
-                    hedges += 1
-                    flights[self._spawn(backup, call)] = backup.name
-                continue
-            for future in done:
-                name = flights.pop(future)
-                try:
-                    value = future.result()
-                except BaseException as exc:  # noqa: BLE001 - failover
-                    if isinstance(exc, DeadlineExceededError):
-                        # the budget is spent fleet-wide: retrying
-                        # elsewhere cannot beat it
-                        for loser in flights:
-                            loser.cancel()
-                        self._account(deadline_exceeded=1)
-                        raise exc
-                    if not isinstance(exc, ServiceClosedError):
-                        self._tracker.record_failure(name)
-                    if first_error is None:
-                        first_error = exc
-                    if not flights and failovers < self.config.leg_retries:
-                        backup = self._next_backup(tried)
-                        if backup is not None:
-                            tried.add(backup.name)
-                            failovers += 1
-                            flights[self._spawn(backup, call)] = backup.name
-                    continue
-                for loser in flights:
-                    loser.cancel()
-                return _HedgedOutcome(
-                    value=value,
-                    hedges=hedges,
-                    backup_won=(name != primary.name),
-                    failovers=failovers,
-                )
-        if first_error is not None:
-            raise first_error
-        raise NoHealthyReplicaError("no replica answered")
+        else:
+            error = NoHealthyReplicaError(
+                f"gather timed out after "
+                f"{self.config.gather_timeout_seconds}s waiting on "
+                f"shard {leg.shard}"
+            )
+        self._finish(leg, error)
+
+    @staticmethod
+    def _finish(leg: _Leg, error: Optional[BaseException] = None) -> None:
+        for loser in leg.flights:
+            loser.cancel()
+        leg.error = error
+        leg.done = True
 
     def _next_backup(self, tried: set):
         """The healthiest untried replica whose breaker admits a call."""

@@ -10,6 +10,14 @@ Floats cross the wire through ``json`` (repr-based), which round-trips
 every finite IEEE-754 double **exactly** — a score computed on a worker
 compares bit-equal after decoding, so the merge's tie-breaking (and the
 byte-identity property) survives process boundaries.
+
+A ``partial`` request carries a mandatory integer ``limit`` (the
+router's result cap) and its reply carries at most that many entries,
+best first, echoing the ``limit`` it was cut at; a ``partial`` frame
+without one is a :class:`WorkerProtocolError` in either direction.
+Since no reply is larger than O(``limit``) records, frames are bounded:
+:data:`MAX_FRAME_CHARS` caps a line, :func:`write_message` refuses to
+send a longer one and :func:`read_frame` refuses to buffer one.
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ from repro.serving.service import (
 from repro.serving.snapshot import StaleSnapshotError
 
 PROTOCOL_VERSION = 1
+
+#: longest line either peer sends or buffers.  A top-15 partial reply is
+#: ~5 KB and the largest request (a whole community's terms) tens of KB,
+#: so this leaves two orders of magnitude of headroom
+MAX_FRAME_CHARS = 1 << 20
 
 
 # -- records ------------------------------------------------------------------
@@ -110,8 +123,19 @@ def partial_to_wire(pool: PartialPool) -> dict:
         "entries": [
             [index, expert_to_wire(expert)] for index, expert in pool.entries
         ],
+        "limit": pool.limit,
         "tenant": pool.tenant,
     }
+
+
+def limit_from_wire(raw: dict) -> int:
+    """The mandatory ``limit`` of a ``partial`` request or reply."""
+    limit = raw.get("limit")
+    if type(limit) is not int or limit < 1:
+        raise WorkerProtocolError(
+            f"a partial frame needs an integer limit >= 1, got {limit!r}"
+        )
+    return limit
 
 
 def partial_from_wire(raw: dict) -> PartialPool:
@@ -122,6 +146,7 @@ def partial_from_wire(raw: dict) -> PartialPool:
             (index, expert_from_wire(expert))
             for index, expert in raw["entries"]
         ),
+        limit=limit_from_wire(raw),
         tenant=raw.get("tenant", DEFAULT_TENANT),
     )
 
@@ -148,6 +173,8 @@ _TYPED_ERRORS = {
     "ServiceClosedError": ServiceClosedError,
     "StaleSnapshotError": StaleSnapshotError,
     "DeadlineExceededError": DeadlineExceededError,
+    # the worker refusing a frame of ours (no ``limit``, oversize line)
+    "WorkerProtocolError": WorkerProtocolError,
 }
 
 
@@ -198,9 +225,16 @@ def write_message(
     unless a plan is installed): a fault there can drop, truncate, or
     corrupt this frame before it reaches the peer — which must then
     detect the mangling through parse failures, timeouts, or failover,
-    never by serving a wrong answer.
+    never by serving a wrong answer.  A message that would not fit in
+    :data:`MAX_FRAME_CHARS` is refused here, typed, before a byte of it
+    is sent.
     """
     line = json.dumps(message, separators=(",", ":"))
+    if len(line) > MAX_FRAME_CHARS:
+        raise WorkerProtocolError(
+            f"wire frame of {len(line)} chars exceeds the "
+            f"{MAX_FRAME_CHARS}-char cap"
+        )
     if chaos_site is not None:
         mangled = filter_frame(
             chaos_site, line, **(chaos_context or {})
@@ -210,6 +244,29 @@ def write_message(
         line = mangled
     stream.write(line + "\n")
     stream.flush()
+
+
+def read_frame(stream: IO[str]) -> Optional[str]:
+    """The next line off the wire, or ``None`` at end of stream.
+
+    Never buffers more than :data:`MAX_FRAME_CHARS`: a longer line
+    raises :class:`WorkerProtocolError` as soon as the cap is hit (a
+    reader that carries on sees the rest of it as further bad frames,
+    then the stream is in sync again), and so does a line the stream
+    ended in the middle of — the peer died mid-write.
+    """
+    line = stream.readline(MAX_FRAME_CHARS + 1)
+    if not line:
+        return None
+    if line.endswith("\n"):
+        return line
+    if len(line) > MAX_FRAME_CHARS:
+        raise WorkerProtocolError(
+            f"wire frame exceeds the {MAX_FRAME_CHARS}-char cap"
+        )
+    raise WorkerProtocolError(
+        f"unterminated wire frame ({len(line)} chars before end of stream)"
+    )
 
 
 def parse_message(line: str) -> dict:

@@ -6,7 +6,10 @@ A worker is one warm-started replica speaking the JSON-lines protocol of
 ``shutdown``.  Requests run on a small thread pool so a health probe (or
 a hedged duplicate) is answered while a slow query is still scoring;
 ``cancel`` marks a request id so a not-yet-started request is dropped
-instead of computed.
+instead of computed.  A ``partial`` request must carry the router's
+``limit`` and is answered with the slice's top ``limit`` only; request
+lines are read through :func:`~repro.fleet.wire.read_frame`, so an
+oversize line is refused typed instead of buffered.
 
 Resilience hooks: a request carrying ``budget`` (seconds, stamped when
 the frame is read off stdin) has its queue time subtracted before the
@@ -39,8 +42,10 @@ from repro.fleet.errors import PromotionError, WorkerProtocolError
 from repro.fleet.wire import (
     answer_to_wire,
     error_to_wire,
+    limit_from_wire,
     parse_message,
     partial_to_wire,
+    read_frame,
     write_message,
 )
 from repro.serving.errors import DeadlineExceededError, UnknownTenantError
@@ -108,6 +113,10 @@ class FleetWorker:
             self.tenants = (DEFAULT_TENANT,)
             self._multi = False
         self._cancel_lock = threading.Lock()
+        #: ids handed to the pool that no thread has picked up yet; a
+        #: cancel is recorded only for one of these, so both sets drain
+        #: as requests start and neither outlives the work it names
+        self._queued: set = set()  # guarded-by: _cancel_lock
         self._cancelled: set = set()  # guarded-by: _cancel_lock
 
     # -- wire I/O ---------------------------------------------------------------
@@ -132,18 +141,20 @@ class FleetWorker:
     def _handle(self, message: dict, received_at: float) -> None:
         request_id = message.get("id")
         with self._cancel_lock:
-            if request_id in self._cancelled:
-                self._cancelled.discard(request_id)
-                self._reply_error(
-                    request_id, RuntimeError("cancelled before start")
-                )
-                return
+            self._queued.discard(request_id)
+            cancelled = request_id in self._cancelled
+            self._cancelled.discard(request_id)
+        if cancelled:
+            self._reply_error(
+                request_id, RuntimeError("cancelled before start")
+            )
+            return
         try:
-            payload = self._dispatch(message, received_at)
+            # the reply sits inside the try: a payload too large for one
+            # frame is refused by write_message and reported typed
+            self._reply_ok(request_id, self._dispatch(message, received_at))
         except BaseException as exc:  # noqa: BLE001 - typed over the wire
             self._reply_error(request_id, exc)
-            return
-        self._reply_ok(request_id, payload)
 
     def _budget_remaining(
         self, message: dict, received_at: Optional[float]
@@ -202,16 +213,24 @@ class FleetWorker:
                 )
             return answer_to_wire(answer)
         if op == "partial":
+            limit = limit_from_wire(message)
             budget = self._budget_remaining(message, received_at)
             terms = [(index, term) for index, term in message["terms"]]
             if self._multi:
                 pool = self.service.score_partial(
-                    tenant, message["query"], terms, budget_seconds=budget
+                    tenant,
+                    message["query"],
+                    terms,
+                    limit=limit,
+                    budget_seconds=budget,
                 )
             else:
                 self._check_tenant(tenant)
                 pool = self.service.score_partial(
-                    message["query"], terms, budget_seconds=budget
+                    message["query"],
+                    terms,
+                    limit=limit,
+                    budget_seconds=budget,
                 )
             return partial_to_wire(pool)
         if op == "health":
@@ -241,6 +260,27 @@ class FleetWorker:
 
     # -- the main loop ----------------------------------------------------------
 
+    def _accept(self, line: str, executor: ThreadPoolExecutor) -> bool:
+        """Route one request line; ``False`` once the peer said shutdown."""
+        received_at = time.perf_counter()
+        message = parse_message(line)
+        op = message.get("op")
+        if op == "shutdown":
+            self._reply_ok(message.get("id"), "bye")
+            return False
+        if op == "cancel":
+            # too late for a request that already started (or finished):
+            # there is nothing left to drop
+            target = message.get("target")
+            with self._cancel_lock:
+                if target in self._queued:
+                    self._cancelled.add(target)
+            return True
+        with self._cancel_lock:
+            self._queued.add(message.get("id"))
+        executor.submit(self._handle, message, received_at)
+        return True
+
     def run(self) -> int:
         executor = ThreadPoolExecutor(
             max_workers=WORKER_THREADS, thread_name_prefix="fleet-worker"
@@ -257,25 +297,17 @@ class FleetWorker:
             ready["tenants"] = list(self.tenants)
         self._write(ready)
         try:
-            for line in self._reader:
-                line = line.strip()
-                if not line:
-                    continue
-                received_at = time.perf_counter()
+            while True:
                 try:
-                    message = parse_message(line)
-                except Exception as exc:  # noqa: BLE001 - report and go on
+                    line = read_frame(self._reader)
+                    if line is None:
+                        break
+                    if line.strip() and not self._accept(line, executor):
+                        break
+                except (WorkerProtocolError, TypeError) as exc:
+                    # a bad frame (oversize, undecodable, unhashable id)
+                    # is reported and skipped; a broken stream ends the loop
                     self._write({"id": None, "error": error_to_wire(exc)})
-                    continue
-                op = message.get("op")
-                if op == "shutdown":
-                    self._reply_ok(message.get("id"), "bye")
-                    break
-                if op == "cancel":
-                    with self._cancel_lock:
-                        self._cancelled.add(message.get("target"))
-                    continue
-                executor.submit(self._handle, message, received_at)
         finally:
             executor.shutdown(wait=True)
             self.service.close()

@@ -29,6 +29,7 @@ single-tenant path exactly as before.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from concurrent.futures import Future
@@ -109,21 +110,26 @@ class ServedAnswer:
 
 @dataclass(frozen=True)
 class PartialPool:
-    """A shard-scoped partial answer: best-per-user over a subset of terms.
+    """A shard-scoped partial answer: the leg's top ``limit`` users over
+    a subset of terms.
 
     The fleet router scatters an expanded query's terms across replica
     shards; each shard reduces its terms to one ``(term index, expert)``
     entry per candidate user — the entry with the highest score, ties
     broken towards the **lowest global term index** (the same
-    first-term-wins rule the single-replica union applies).  Merging
-    shard pools under the identical rule therefore reproduces the
-    single-replica ranking exactly.
+    first-term-wins rule the single-replica union applies) — and keeps
+    the best ``limit`` of them by ``(-score, user_id)``.  Merging shard
+    pools under the identical rule reproduces the single-replica ranking
+    exactly as long as the merge's cap is no larger than ``limit`` (the
+    argument is in :mod:`repro.fleet.merge`).
     """
 
     query: str
     snapshot_version: int
-    #: ``(global term index, expert)`` per candidate user, user-id order
+    #: ``(global term index, expert)`` per kept user, best first
     entries: Tuple[Tuple[int, RankedExpert], ...]
+    #: the cut this pool was made at: ``len(entries) <= limit``
+    limit: int
     #: which tenant's shard produced this pool — the merge refuses to
     #: combine pools across tenants
     tenant: str = DEFAULT_TENANT
@@ -478,21 +484,25 @@ class ExpertService:
         query: str,
         indexed_terms: "Iterable[Tuple[int, str]]",
         *,
+        limit: int,
         budget_seconds: float | None = None,
     ) -> PartialPool:
-        """Score a subset of an expanded query's terms on this replica.
+        """Score a subset of an expanded query's terms on this replica
+        and return the best ``limit`` users of that slice.
 
         ``indexed_terms`` carries each term's **global** position in the
         full expansion, so the per-user reduction can apply the exact
         tie-break of the single-replica union (highest score wins, equal
         scores go to the earliest term) even though this replica sees
         only its shard's slice.  The fleet router merges shard pools
-        under the same rule and gets a byte-identical ranking.
+        under the same rule and gets a byte-identical ranking; ``limit``
+        is the router's result cap — nothing below a leg's own top
+        ``limit`` can reach the merged top ``limit``.
 
         Passes through admission control like :meth:`query` (a scatter
         leg is real detection work), pins one snapshot, shards per-term
         scoring across the detection pool, and caches the reduced pool
-        under ``(tenant, version, 'partial', terms)`` — hedged
+        under ``(tenant, version, 'partial', terms, limit)`` — hedged
         duplicates of the same scatter leg coalesce via single-flight
         exactly like whole queries do.
 
@@ -509,7 +519,7 @@ class ExpertService:
         with self._slot():
             self._check_budget(budget_seconds, started)
             snapshot = self._require_snapshot()
-            key = (self.tenant, snapshot.version, "partial", indexed)
+            key = (self.tenant, snapshot.version, "partial", indexed, limit)
             cached = self._cache.get(key)
             with self._counter_lock:
                 self._partials += 1
@@ -520,7 +530,7 @@ class ExpertService:
                 return cached
 
             def compute() -> PartialPool:
-                return self._compute_partial(snapshot, query, indexed)
+                return self._compute_partial(snapshot, query, indexed, limit)
 
             if self._flight is not None:
                 pool, leader = self._flight.do(key, compute)
@@ -535,6 +545,7 @@ class ExpertService:
         snapshot: ServiceSnapshot,
         query: str,
         indexed: Tuple[Tuple[int, str], ...],
+        limit: int,
     ) -> PartialPool:
         pools = self._term_scorer(snapshot)([term for _, term in indexed])
         best: dict[int, Tuple[int, RankedExpert]] = {}
@@ -546,13 +557,18 @@ class ExpertService:
                 # order — the same first-term-wins rule as score_terms
                 if incumbent is None or expert.score > incumbent[1].score:
                     best[expert.user_id] = (index, expert)
-        entries = tuple(
-            sorted(best.values(), key=lambda entry: entry[1].user_id)
+        # a heap select, not a sort: the slice's pool is hundreds of
+        # users, the merge can use at most ``limit`` of them
+        entries = heapq.nsmallest(
+            limit,
+            best.values(),
+            key=lambda entry: (-entry[1].score, entry[1].user_id),
         )
         return PartialPool(
             query=query,
             snapshot_version=snapshot.version,
-            entries=entries,
+            entries=tuple(entries),
+            limit=limit,
             tenant=self.tenant,
         )
 

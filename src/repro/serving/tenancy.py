@@ -383,6 +383,7 @@ class MultiTenantService:
         query: str,
         indexed_terms,
         *,
+        limit: int,
         budget_seconds: float | None = None,
     ) -> PartialPool:
         if self._closed:
@@ -390,7 +391,10 @@ class MultiTenantService:
         resident = self._registry.acquire(tenant)
         try:
             return resident.service.score_partial(
-                query, indexed_terms, budget_seconds=budget_seconds
+                query,
+                indexed_terms,
+                limit=limit,
+                budget_seconds=budget_seconds,
             )
         finally:
             self._registry.release(resident)

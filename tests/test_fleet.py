@@ -12,12 +12,15 @@ round-trip proving the wire format preserves it across processes.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from repro.fleet import (
     ConsistentHashRing,
     DomainPartitionSharding,
     FleetConfig,
+    FleetError,
     FleetRouter,
     FleetVersionSkewError,
     InProcessReplica,
@@ -39,10 +43,12 @@ from repro.fleet import (
     ReplicaTracker,
     SubprocessReplica,
     TokenHashSharding,
+    WorkerProtocolError,
     merge_partials,
     stable_hash,
 )
 from repro.fleet import wire
+from repro.fleet.worker import FleetWorker
 from repro.serving.admission import AdmissionController
 from repro.serving.service import (
     ExpertService,
@@ -183,9 +189,12 @@ def make_expert(user_id: int, score: float) -> RankedExpert:
     )
 
 
-def pool(*entries, version=1, query="q"):
+def pool(*entries, version=1, query="q", limit=15):
     return PartialPool(
-        query=query, snapshot_version=version, entries=tuple(entries)
+        query=query,
+        snapshot_version=version,
+        entries=tuple(entries),
+        limit=limit,
     )
 
 
@@ -252,6 +261,112 @@ class TestMergePartials:
             )
 
 
+    def test_pool_cut_below_the_merge_cap_is_refused(self):
+        shallow = pool((0, make_expert(1, 2.0)), limit=3)
+        with pytest.raises(FleetError, match="cut at"):
+            merge_partials([shallow], threshold=0.0, max_results=4)
+        experts, _ = merge_partials([shallow], threshold=0.0, max_results=3)
+        assert len(experts) == 1
+
+
+# -- top-limit legs lose nothing (the exactness argument as a property) --------
+
+#: few distinct scores, so ties across legs, equal scores at different
+#: global indexes and ties straddling the cut all come up constantly
+COLLIDING_SCORES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 3.5])
+
+
+@st.composite
+def scatter_cases(draw):
+    term_count = draw(st.integers(1, 6))
+    pools = []
+    for index in range(term_count):
+        users = draw(st.lists(st.integers(1, 12), unique=True, max_size=10))
+        # the description names the term an entry came from, so equality
+        # below also checks *which* term's entry won every tie
+        pools.append(
+            [
+                make_expert(user, draw(COLLIDING_SCORES))._replace(
+                    description=f"term {index}"
+                )
+                for user in users
+            ]
+        )
+    leg_count = draw(st.integers(1, min(4, term_count)))
+    owner = [draw(st.integers(0, leg_count - 1)) for _ in range(term_count)]
+    limit = draw(st.integers(1, 14))
+    return {
+        "pools": pools,
+        "owner": owner,
+        "limit": limit,
+        "max_results": draw(st.integers(1, limit)),
+        "threshold": draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 9.0])),
+        "survivors": draw(
+            st.sets(st.sampled_from(sorted(set(owner))), min_size=1)
+        ),
+    }
+
+
+class TestTopLimitLegsAreExact:
+    @settings(max_examples=200, deadline=None)
+    @given(case=scatter_cases())
+    def test_cut_legs_merge_like_full_legs_like_one_replica(
+        self, case, system, single_service
+    ):
+        terms = [f"term {index}" for index in range(len(case["pools"]))]
+        by_term = dict(zip(terms, case["pools"]))
+        snapshot = types.SimpleNamespace(
+            version=1,
+            detector=types.SimpleNamespace(score=by_term.__getitem__),
+        )
+
+        def legs(limit):
+            return [
+                single_service._compute_partial(
+                    snapshot,
+                    "q",
+                    tuple(
+                        (index, term)
+                        for index, term in enumerate(terms)
+                        if case["owner"][index] == leg
+                    ),
+                    limit,
+                )
+                for leg in sorted(case["survivors"])
+            ]
+
+        cut = legs(case["limit"])
+        assert all(len(leg.entries) <= case["limit"] for leg in cut)
+        assert all(leg.limit == case["limit"] for leg in cut)
+        # one replica scoring every surviving term, then threshold + cap
+        union = system.snapshots.get().pipeline.expander.score_terms(
+            "q",
+            [
+                term
+                for index, term in enumerate(terms)
+                if case["owner"][index] in case["survivors"]
+            ],
+            None,
+            term_scorer=lambda wanted: [by_term[term] for term in wanted],
+        )
+        kept = [e for e in union.scored_pool if e.score >= case["threshold"]]
+        expected = (tuple(kept[: case["max_results"]]), 1)
+        merge = dict(
+            threshold=case["threshold"], max_results=case["max_results"]
+        )
+        assert merge_partials(cut, **merge) == expected
+        assert merge_partials(legs(10**6), **merge) == expected
+
+    def test_no_partial_reply_exceeds_its_limit(self, single_service, queries):
+        terms = list(enumerate(queries))
+        uncut = single_service.score_partial(queries[0], terms, limit=10**6)
+        assert len(uncut.entries) > 3  # the cut below really cuts
+        for limit in (1, 3):
+            cut = single_service.score_partial(queries[0], terms, limit=limit)
+            assert cut.limit == limit
+            assert cut.entries == uncut.entries[:limit]
+
+
 # -- scatter-gather == single replica (the headline property) -----------------
 
 
@@ -282,6 +397,55 @@ class TestScatterGatherEquivalence:
         assert stats.scattered > 0
         assert stats.scatter_legs > stats.scattered
         assert stats.requests == stats.single_shard + stats.scattered
+
+    def test_degraded_answer_is_exact_over_the_surviving_terms(
+        self, system, artifact_dir, queries
+    ):
+        class LosesShard(InProcessReplica):
+            """Every replica refuses the legs of one shard's terms."""
+
+            lost: frozenset = frozenset()
+
+            def score_partial(self, query, indexed_terms, **kwargs):
+                indexed_terms = list(indexed_terms)
+                if any(term in self.lost for _, term in indexed_terms):
+                    raise RuntimeError("this shard is down everywhere")
+                return super().score_partial(query, indexed_terms, **kwargs)
+
+        replicas = [LosesShard(f"replica-{i}", system) for i in range(3)]
+        router = FleetRouter.from_artifact(
+            artifact_dir,
+            replicas,
+            sharding="hash",
+            config=FleetConfig(allow_degraded=True, hedging=False),
+        )
+        snapshot = system.snapshots.get()
+        expander = snapshot.pipeline.expander
+        ranking = snapshot.detector.ranking
+        degraded = 0
+        with router:
+            for query in queries:
+                terms, domain_id = expander.expand_terms(query)
+                plan = router.sharding.plan(terms)
+                if len(plan) < 2:
+                    continue
+                lost_shard = max(plan)
+                LosesShard.lost = frozenset(t for _, t in plan[lost_shard])
+                answer = router.query(query)
+                surviving = [
+                    term for term in terms if term not in LosesShard.lost
+                ]
+                union = expander.score_terms(query, surviving, domain_id)
+                kept = [
+                    e
+                    for e in union.scored_pool
+                    if e.score >= ranking.min_zscore
+                ]
+                assert answer.coverage == len(surviving) / len(terms)
+                assert lost_shard not in answer.shards
+                assert answer.experts == tuple(kept[: ranking.max_results])
+                degraded += 1
+        assert degraded > 0
 
     def test_min_zscore_passthrough(self, hash_fleet, single_service, queries):
         query = queries[0]
@@ -327,10 +491,13 @@ class ScriptedReplica:
     def query(self, query, min_zscore=None):
         return self._answer(query)
 
-    def score_partial(self, query, indexed_terms):
+    def score_partial(self, query, indexed_terms, *, limit):
         answer = self._answer(query)
         return PartialPool(
-            query=query, snapshot_version=answer.snapshot_version, entries=()
+            query=query,
+            snapshot_version=answer.snapshot_version,
+            entries=(),
+            limit=limit,
         )
 
     def health(self):
@@ -582,8 +749,33 @@ class TestWire:
         assert decoded == answer
 
     def test_partial_round_trip(self):
-        original = pool((3, make_expert(9, 1.25)), version=4)
+        original = pool((3, make_expert(9, 1.25)), version=4, limit=7)
         assert wire.partial_from_wire(wire.partial_to_wire(original)) == original
+
+    def test_partial_frame_without_a_limit_is_refused(self):
+        raw = wire.partial_to_wire(pool((3, make_expert(9, 1.25))))
+        for bad in (None, 0, -1, 2.0, "15", True):
+            with pytest.raises(WorkerProtocolError, match="limit"):
+                wire.partial_from_wire({**raw, "limit": bad})
+        del raw["limit"]
+        with pytest.raises(WorkerProtocolError, match="limit"):
+            wire.partial_from_wire(raw)
+
+    def test_frames_are_capped_in_both_directions(self):
+        oversize = "x" * (wire.MAX_FRAME_CHARS + 1)
+        with pytest.raises(WorkerProtocolError, match="exceeds"):
+            wire.write_message(io.StringIO(), {"id": 1, "ok": oversize})
+        # an oversize line is refused the moment the cap is hit, and the
+        # stream is back in sync once its tail has gone by
+        stream = io.StringIO(oversize + "tail\n" + '{"id":2}\n' + '{"id":3')
+        with pytest.raises(WorkerProtocolError, match="exceeds"):
+            wire.read_frame(stream)
+        assert wire.read_frame(stream) == "tail\n"
+        assert wire.parse_message(wire.read_frame(stream)) == {"id": 2}
+        # the peer died mid-write
+        with pytest.raises(WorkerProtocolError, match="unterminated"):
+            wire.read_frame(stream)
+        assert wire.read_frame(stream) is None
 
     def test_typed_errors_survive_the_wire(self):
         from repro.serving.errors import (
@@ -641,14 +833,160 @@ class TestSubprocessReplica:
         self, worker, single_service, queries
     ):
         indexed = [(0, queries[0]), (3, queries[1])]
-        theirs = worker.score_partial(queries[0], indexed)
-        ours = single_service.score_partial(queries[0], indexed)
+        theirs = worker.score_partial(queries[0], indexed, limit=15)
+        ours = single_service.score_partial(queries[0], indexed, limit=15)
         assert theirs == ours
 
     def test_health_round_trip(self, worker):
         report = worker.health()
         assert report.snapshot_version == 1
         assert report.requests >= 1
+
+    def test_partial_reply_frame_carries_at_most_limit_entries(
+        self, worker, queries
+    ):
+        payload = {
+            "query": queries[0],
+            "terms": [[index, term] for index, term in enumerate(queries)],
+        }
+        _, future = worker.submit("partial", {**payload, "limit": 2})
+        raw = future.result(timeout=30)
+        assert raw["limit"] == 2 and len(raw["entries"]) == 2
+        # no limit, no answer: the worker refuses the frame, typed
+        _, future = worker.submit("partial", payload)
+        with pytest.raises(WorkerProtocolError, match="limit"):
+            future.result(timeout=30)
+        assert worker.ping()  # and keeps serving
+
+    def test_oversize_reply_is_refused_and_retires_the_replica(
+        self, artifact_dir, tmp_path
+    ):
+        # a stand-in worker that answers its first request with a line
+        # far past the frame cap and then idles
+        script = tmp_path / "chatty-worker"
+        script.write_text(
+            f"#!{sys.executable}\n"
+            "import sys, time\n"
+            "print('{\"op\": \"ready\", \"version\": 1}', flush=True)\n"
+            "sys.stdin.readline()\n"
+            f"sys.stdout.write('x' * {3 * wire.MAX_FRAME_CHARS})\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        )
+        script.chmod(0o755)
+        replica = SubprocessReplica(
+            "chatty", artifact_dir, python=str(script),
+            request_timeout_seconds=20.0,
+        )
+        try:
+            with pytest.raises(WorkerProtocolError, match="exceeds"):
+                replica.health()
+            # the reader is gone: the replica says so instead of parking
+            # requests nobody can resolve
+            assert not replica.is_alive()
+            started = time.perf_counter()
+            with pytest.raises(WorkerProtocolError, match="no longer reading"):
+                replica.health()
+            assert time.perf_counter() - started < 1.0
+        finally:
+            replica._process.kill()
+            replica.close()
+
+
+class ScriptedPipe:
+    """The worker's two pipe ends in memory: request frames are handed
+    out one ``readline`` at a time, and a frame can be held back until a
+    given request's reply has been written."""
+
+    def __init__(self, frames):
+        #: ``(frame, reply id to wait for first or None)``
+        self._frames = list(frames)
+        self._rest = ""  # of a frame longer than one bounded readline
+        self._replied = threading.Condition()
+        self.replies = []
+
+    def readline(self, size=-1):
+        if not self._rest:
+            if not self._frames:
+                return ""
+            frame, after = self._frames.pop(0)
+            with self._replied:
+                assert self._replied.wait_for(
+                    lambda: after is None
+                    or any(r.get("id") == after for r in self.replies),
+                    timeout=30,
+                )
+            self._rest = frame + "\n"
+        cut = len(self._rest) if size < 0 else size
+        line, self._rest = self._rest[:cut], self._rest[cut:]
+        return line
+
+    def write(self, text):
+        with self._replied:
+            self.replies.extend(
+                json.loads(line) for line in text.splitlines() if line
+            )
+            self._replied.notify_all()
+
+    def flush(self):
+        pass
+
+
+class TestFleetWorkerLoop:
+    def run_worker(self, artifact_dir, frames):
+        pipe = ScriptedPipe(frames)
+        worker = FleetWorker(
+            str(artifact_dir), detection_workers=1, reader=pipe, writer=pipe
+        )
+        assert worker.run() == 0
+        return worker, pipe.replies
+
+    def test_cancel_set_is_empty_once_the_work_is_done(self, artifact_dir):
+        ping = json.dumps({"op": "ping", "id": 1})
+        cancel = json.dumps({"op": "cancel", "target": 1})
+        worker, replies = self.run_worker(
+            artifact_dir,
+            [
+                (ping, None),
+                # exactly what SubprocessReplica._call sends on a timeout:
+                # a cancel for a request that already ran
+                (cancel, 1),
+                (json.dumps({"op": "cancel", "target": 99}), None),
+                (json.dumps({"op": "ping", "id": 2}), None),
+            ],
+        )
+        assert {"id": 1, "ok": "pong"} in replies
+        assert {"id": 2, "ok": "pong"} in replies
+        assert worker._cancelled == set() and worker._queued == set()
+
+    def test_bad_request_lines_are_refused_and_the_loop_goes_on(
+        self, artifact_dir
+    ):
+        _, replies = self.run_worker(
+            artifact_dir,
+            [
+                ("x" * (wire.MAX_FRAME_CHARS + 8), None),
+                (json.dumps({"op": "ping", "id": [1]}), None),
+                (json.dumps({"op": "partial", "id": 3, "query": "q",
+                             "terms": [[0, "q"]]}), None),
+                (json.dumps({"op": "ping", "id": 4}), None),
+            ],
+        )
+        refused = [
+            reply["error"]
+            for reply in replies
+            if "error" in reply and reply["id"] is None
+        ]
+        assert "exceeds" in refused[0]["message"]
+        assert "undecodable" in refused[1]["message"]  # the oversize tail
+        assert [error["type"] for error in refused] == [
+            "WorkerProtocolError",
+            "WorkerProtocolError",
+            "TypeError",  # unhashable request id
+        ]
+        (no_limit,) = [r for r in replies if r.get("id") == 3]
+        assert no_limit["error"]["type"] == "WorkerProtocolError"
+        assert {"id": 4, "ok": "pong"} in replies
 
 
 # -- serving satellites riding along ------------------------------------------

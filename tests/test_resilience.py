@@ -28,6 +28,7 @@ from repro.fleet import (
     ReplicaSupervisor,
     SubprocessReplica,
     SupervisorConfig,
+    WorkerProtocolError,
 )
 from repro.serving.service import ExpertService
 
@@ -287,6 +288,61 @@ class TestWorkerChaosPlans:
             assert router.stats().failovers == 1
         finally:
             router.close()
+
+    def test_replica_whose_reader_stopped_fails_fast_and_is_restarted(
+        self, artifact_dir, queries, reference
+    ):
+        # one corrupted reply ends the client's reader thread while the
+        # worker process lives on: the handle must stop taking requests
+        # (nobody could resolve them) and report itself dead
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    site="wire.worker.write",
+                    kind="corrupt_frame",
+                    after_calls=1,  # let the ready handshake through
+                    times=1,
+                ),
+            )
+        )
+        victim = spawn(
+            "replica-0",
+            artifact_dir,
+            extra_env={inject.ENV_PLAN: plan.to_json()},
+        )
+        router = FleetRouter.from_artifact(
+            artifact_dir,
+            [victim, spawn("replica-1", artifact_dir)],
+            sharding="hash",
+            config=FleetConfig(hedging=False),
+        )
+        supervisor = ReplicaSupervisor(
+            router,
+            {"replica-0": lambda: spawn("replica-0", artifact_dir)},
+            SupervisorConfig(
+                probe_timeout_seconds=2.0, backoff_initial_seconds=0.0
+            ),
+        )
+        try:
+            with pytest.raises(WorkerProtocolError, match="undecodable"):
+                victim.health()
+            assert victim._process.poll() is None  # the process is fine
+            assert not victim.is_alive()
+            started = time.perf_counter()
+            with pytest.raises(WorkerProtocolError, match="no longer reading"):
+                victim.health()
+            assert not victim.ping(timeout=5.0)
+            assert time.perf_counter() - started < 1.0  # not the 30 s timeout
+
+            outcomes = supervisor.check_now()
+            assert [o.ok for o in outcomes] == [True]
+            fresh = router.replica("replica-0")
+            assert fresh is not victim and fresh.is_alive()
+            for query in queries:
+                assert answer_key(router.query(query)) == reference[query]
+        finally:
+            router.close()
+            victim.close()
 
     def test_dropped_request_frame_times_out_typed_and_fails_over(
         self, system, artifact_dir

@@ -88,11 +88,13 @@ class ScriptedReplica:
             total_seconds=self.delay,
         )
 
-    def score_partial(self, query, indexed_terms):
+    def score_partial(self, query, indexed_terms, *, limit):
         self._maybe_fail()
         if any(term in self.fail_terms for _, term in indexed_terms):
             raise RuntimeError(f"{self.name} fails on a scripted term")
-        return PartialPool(query=query, snapshot_version=1, entries=())
+        return PartialPool(
+            query=query, snapshot_version=1, entries=(), limit=limit
+        )
 
     def health(self):
         return ReplicaHealthReport(
@@ -298,7 +300,10 @@ class TestDeadlineBudgets:
                 service.query("anything", budget_seconds=0.0)
             with pytest.raises(DeadlineExceededError):
                 service.score_partial(
-                    "anything", [(0, "anything")], budget_seconds=0.0
+                    "anything",
+                    [(0, "anything")],
+                    limit=15,
+                    budget_seconds=0.0,
                 )
 
     def test_inprocess_replica_propagates_budget(self, system):
@@ -319,10 +324,11 @@ class TestDeadlineBudgets:
 # -- degraded answers ----------------------------------------------------------
 
 
-def scatter_fixture():
-    """A domain whose expansion genuinely scatters over 2 shards."""
-    policy = TokenHashSharding(2)
-    terms = [f"keyword number {i}" for i in range(64)]
+def scatter_fixture(shards=2):
+    """A domain whose expansion genuinely scatters over shards 0 and 1
+    (of ``shards``: any replica past the second is a pure spare)."""
+    policy = TokenHashSharding(shards)
+    terms = [f"keyword number {i}" for i in range(96)]
     shard0 = [t for t in terms if policy.shard_of_term(t) == 0][:2]
     shard1 = [t for t in terms if policy.shard_of_term(t) == 1][:2]
     keywords = tuple(shard0 + shard1)
@@ -382,6 +388,131 @@ class TestDegradedAnswers:
             answer = router.query(shard0[0])
         assert answer.coverage == 1.0
         assert answer.shards == (0, 1)
+
+
+# -- two legs through one gather loop ------------------------------------------
+
+
+def two_leg_fixture():
+    """Two legs per query, with replica 2 idle as a backup."""
+    return scatter_fixture(shards=3)
+
+
+class TestTwoLegGather:
+    def test_each_leg_hedges_exactly_once(self):
+        store, policy, shard0, _ = two_leg_fixture()
+        # every replica is slow, so a second backup would be tempting
+        replicas = [ScriptedReplica(f"r{i}", delay=0.25) for i in range(3)]
+        router = scatter_router(
+            replicas,
+            store,
+            policy,
+            hedging=True,
+            hedge_default_deadline_seconds=0.02,
+        )
+        with router:
+            started = time.perf_counter()
+            answer = router.query(shard0[0])
+            elapsed = time.perf_counter() - started
+            stats = router.stats()
+        assert answer.mode == "scatter-gather" and answer.coverage == 1.0
+        assert answer.hedges == 2 and stats.hedges_fired == 2
+        # two primaries + one backup per leg, and the legs overlapped
+        assert sum(replica.calls for replica in replicas) == 4
+        assert elapsed < 0.45
+
+    def test_fast_leg_does_not_wait_for_the_other_legs_hedge(self):
+        store, policy, shard0, _ = two_leg_fixture()
+        slow = ScriptedReplica("r0", delay=0.3)
+        replicas = [slow, ScriptedReplica("r1"), ScriptedReplica("r2")]
+        router = scatter_router(
+            replicas,
+            store,
+            policy,
+            hedging=True,
+            hedge_default_deadline_seconds=0.02,
+        )
+        with router:
+            started = time.perf_counter()
+            answer = router.query(shard0[0])
+            elapsed = time.perf_counter() - started
+            stats = router.stats()
+        # only the slow leg hedged, and its backup won
+        assert answer.hedges == 1
+        assert stats.hedges_fired == 1 and stats.hedge_wins == 1
+        assert elapsed < 0.3
+
+    @pytest.mark.parametrize("leg_retries", [0, 1, 2])
+    def test_failover_is_bounded_per_leg(self, leg_retries):
+        store, policy, shard0, shard1 = two_leg_fixture()
+        # the shard-1 terms fail everywhere: that leg burns its retries
+        # while the shard-0 leg is answered by its primary, once
+        replicas = [
+            ScriptedReplica(f"r{i}", fail_terms=shard1) for i in range(3)
+        ]
+        router = scatter_router(
+            replicas,
+            store,
+            policy,
+            hedging=False,
+            allow_degraded=True,
+            leg_retries=leg_retries,
+        )
+        with router:
+            answer = router.query(shard0[0])
+        assert answer.shards == (0,) and answer.coverage == 0.5
+        assert sum(r.calls for r in replicas) == 1 + 1 + leg_retries
+
+    def test_deadline_miss_on_one_leg_is_terminal(self):
+        store, policy, shard0, _ = two_leg_fixture()
+        miss = ScriptedReplica("r1", raise_type=DeadlineExceededError)
+        spare = ScriptedReplica("r2")
+        router = scatter_router(
+            [ScriptedReplica("r0"), miss, spare],
+            store,
+            policy,
+            hedging=False,
+        )
+        with router:
+            with pytest.raises(DeadlineExceededError):
+                router.query(shard0[0])
+            stats = router.stats()
+        assert miss.calls == 1 and spare.calls == 0  # no failover
+        assert stats.deadline_exceeded == 1 and stats.failovers == 0
+
+    def test_spent_budget_ends_both_legs_typed(self):
+        store, policy, shard0, _ = two_leg_fixture()
+        replicas = [ScriptedReplica(f"r{i}", delay=0.5) for i in range(3)]
+        router = scatter_router(replicas, store, policy, hedging=False)
+        with router:
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceededError, match="budget"):
+                router.query(shard0[0], deadline_seconds=0.05)
+            elapsed = time.perf_counter() - started
+            stats = router.stats()
+        assert elapsed < 0.4  # did not wait out the slow replicas
+        assert stats.deadline_exceeded == 2  # one typed miss per leg
+
+    def test_gather_creates_no_thread_per_query(self, monkeypatch):
+        import threading
+
+        store, policy, shard0, _ = two_leg_fixture()
+        replicas = [ScriptedReplica(f"r{i}") for i in range(3)]
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        with scatter_router(replicas, store, policy) as router:
+            for _ in range(20):
+                assert router.query(shard0[0]).mode == "scatter-gather"
+        # the leaf executor grows lazily towards its fixed size; nothing
+        # else on the query path may start a thread
+        assert all(name.startswith("repro-fleet_") for name in started)
+        assert len(started) <= router._executor._max_workers
 
 
 # -- replica replacement (the supervisor's router hook) ------------------------

@@ -354,7 +354,7 @@ class TestCrossTenantIsolation:
 
     def test_partial_pools_carry_their_tenant(self, multi, tenant_queries):
         query = tenant_queries["a"][2]
-        pool = multi.score_partial("a", query, [(0, query)])
+        pool = multi.score_partial("a", query, [(0, query)], limit=15)
         assert pool.tenant == "a"
         assert pool.query  # normalised, non-empty
 

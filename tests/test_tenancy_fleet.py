@@ -155,9 +155,13 @@ class TestTenantRouter:
     ):
         for tenant in ("a", "b"):
             for query in tenant_queries[tenant][:6]:
-                assert answer_key(
-                    tenant_fleet.query(query, tenant=tenant)
-                ) == answer_key(single_services[tenant].query(query))
+                answer = tenant_fleet.query(query, tenant=tenant)
+                assert answer_key(answer) == answer_key(
+                    single_services[tenant].query(query)
+                )
+                # a FleetAnswer encodes like the ServedAnswer it stands
+                # for (the fleet benches compare the two as wire bytes)
+                assert wire.answer_to_wire(answer)["tenant"] == tenant
 
     def test_unknown_tenant_fails_before_any_scatter(self, tenant_fleet):
         with pytest.raises(UnknownTenantError):
@@ -196,11 +200,11 @@ class TestTenantMergeRefusal:
         pools = [
             PartialPool(
                 query="q", snapshot_version=1,
-                entries=(self.entry(),), tenant="a",
+                entries=(self.entry(),), limit=10, tenant="a",
             ),
             PartialPool(
                 query="q", snapshot_version=1,
-                entries=(self.entry(),), tenant="b",
+                entries=(self.entry(),), limit=10, tenant="b",
             ),
         ]
         with pytest.raises(FleetTenantMismatchError, match="a.*b"):
@@ -210,10 +214,11 @@ class TestTenantMergeRefusal:
         pools = [
             PartialPool(
                 query="q", snapshot_version=1,
-                entries=(self.entry(),), tenant="a",
+                entries=(self.entry(),), limit=10, tenant="a",
             ),
             PartialPool(
-                query="q", snapshot_version=1, entries=(), tenant="a"
+                query="q", snapshot_version=1, entries=(), limit=10,
+                tenant="a",
             ),
         ]
         experts, version = merge_partials(
@@ -291,7 +296,7 @@ class TestTenantWire:
 
     def test_partial_round_trip_keeps_the_tenant(self):
         pool = PartialPool(
-            query="q", snapshot_version=2, entries=(), tenant="a"
+            query="q", snapshot_version=2, entries=(), limit=10, tenant="a"
         )
         assert wire.partial_from_wire(wire.partial_to_wire(pool)) == pool
 
@@ -351,6 +356,21 @@ class TestSubprocessMultiTenant:
                 assert answer_key(theirs) == answer_key(
                     single_services[tenant].query(query)
                 )
+
+    def test_partial_legs_are_cut_per_tenant_across_the_boundary(
+        self, worker, single_services, tenant_queries
+    ):
+        for tenant in ("a", "b"):
+            terms = list(enumerate(tenant_queries[tenant]))
+            query = tenant_queries[tenant][0]
+            theirs = worker.score_partial(
+                query, terms, limit=3, tenant=tenant
+            )
+            ours = single_services[tenant].score_partial(
+                query, terms, limit=3
+            )
+            assert theirs.tenant == tenant and len(theirs.entries) == 3
+            assert theirs.entries == ours.entries
 
     def test_unknown_tenant_error_crosses_the_process_boundary(self, worker):
         with pytest.raises(UnknownTenantError):
