@@ -401,16 +401,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def run_fleet_command(args: argparse.Namespace, replicas=None) -> int:
-    """Drive a replica fleet from an artifact (split out for tests).
+    """Drive a replica fleet over a tenant map (split out for tests).
 
+    ``--tenant NAME=DIR`` flags name the corpora every replica serves;
+    ``--from-artifact DIR`` is the one-entry map ``{default: DIR}``.
     ``replicas`` lets tests inject prebuilt replica handles; the CLI
-    path warm-starts ``--replicas`` workers from the artifact — threads
-    in this process by default, ``fleet-worker`` subprocesses with
-    ``--process``.
+    path warm-starts ``--replicas`` workers — threads in this process by
+    default, ``fleet-worker`` subprocesses with ``--process``.
     """
+    import functools
     import os
+    import types
 
-    from repro.artifact import load_artifact_stages
+    from repro.artifact import parse_tenant_specs
     from repro.chaos import FaultPlan, inject
     from repro.fleet import (
         FleetConfig,
@@ -419,12 +422,19 @@ def run_fleet_command(args: argparse.Namespace, replicas=None) -> int:
         ReplicaSupervisor,
         SubprocessReplica,
     )
-    from repro.serving.loadgen import (
-        LoadGenerator,
-        WorkloadConfig,
-        build_workload_from,
+    from repro.serving.service import DEFAULT_TENANT, ServiceConfig
+    from repro.serving.tenancy import TenantSpec
+
+    tenant_flags = getattr(args, "tenant", None)
+    specs = (
+        {name: str(path) for name, path in
+         parse_tenant_specs(tenant_flags).items()}
+        if tenant_flags
+        else {DEFAULT_TENANT: args.from_artifact}
     )
-    from repro.serving.service import ServiceConfig
+    serving = (
+        f"{len(specs)} tenants" if tenant_flags else args.from_artifact
+    )
 
     chaos_plan_path = getattr(args, "chaos_plan", None)
     extra_env = None
@@ -436,50 +446,40 @@ def run_fleet_command(args: argparse.Namespace, replicas=None) -> int:
         os.environ[inject.ENV_PLAN] = plan_text
         extra_env = {inject.ENV_PLAN: plan_text}
 
-    partial = load_artifact_stages(
-        args.from_artifact, ("store", "domain_store")
-    )
-    workload = build_workload_from(
-        partial.values["store"],
-        partial.values["domain_store"],
-        WorkloadConfig(
-            requests=args.queries,
-            max_unique=args.unique,
-            zipf_exponent=args.zipf_exponent,
-            seed=args.seed,
-        ),
-    )
     def _make_replica(name: str):
         if args.process:
             return SubprocessReplica(
                 name,
-                args.from_artifact,
+                tenants=specs,
                 detection_workers=args.workers,
                 extra_env=extra_env,
             )
         return InProcessReplica(
             name,
-            ESharp.from_artifact(args.from_artifact),
-            ServiceConfig(detection_workers=args.workers),
+            tenant_specs=tuple(
+                TenantSpec(tenant, specs[tenant]) for tenant in sorted(specs)
+            ),
+            service_config=ServiceConfig(detection_workers=args.workers),
         )
 
-    owned = replicas is not None
+    injected = replicas is not None
     if replicas is None:
         replicas = []
         for index in range(args.replicas):
             name = f"replica-{index}"
             print(f"starting {name} ({'process' if args.process else 'thread'})"
-                  f" from {args.from_artifact}...", file=sys.stderr)
+                  f" serving {serving}...", file=sys.stderr)
             replicas.append(_make_replica(name))
     config = FleetConfig(
         deadline_seconds=getattr(args, "deadline", None),
         allow_degraded=getattr(args, "allow_degraded", False),
     )
-    router = FleetRouter.from_artifact(
-        args.from_artifact, replicas, sharding=args.sharding, config=config
+    router = FleetRouter.from_tenant_artifacts(
+        specs, replicas, sharding=args.sharding, config=config
     )
     supervisor = None
-    if getattr(args, "supervise", False) and not owned:
+    if getattr(args, "supervise", False) and not injected:
+        # each factory restarts a replica serving every tenant again
         factories = {
             replica.name: (lambda name=replica.name: _make_replica(name))
             for replica in replicas
@@ -487,17 +487,23 @@ def run_fleet_command(args: argparse.Namespace, replicas=None) -> int:
         supervisor = ReplicaSupervisor(router, factories)
         supervisor.start()
     try:
-        report = LoadGenerator(
-            router,
-            workload,
-            concurrency=args.concurrency,
-            min_zscore=args.min_zscore,
-        ).run()
+        reports, failures = _replay_tenants(
+            lambda tenant: types.SimpleNamespace(
+                query=functools.partial(router.query, tenant=tenant)
+            ),
+            specs,
+            args,
+        )
         stats = router.stats()
-        print(report.render(
-            f"fleet replay — {stats.replicas} replicas, "
-            f"{stats.policy} sharding"
-        ))
+        title = (f"fleet replay — {stats.replicas} replicas, "
+                 f"{stats.policy} sharding")
+        for tenant in sorted(specs):
+            if tenant in failures:
+                print(f"tenant {tenant}: FAILED — {failures[tenant]}")
+            elif tenant_flags:
+                print(reports[tenant].render(f"tenant {tenant} {title}"))
+            else:
+                print(reports[tenant].render(title))
         print(f"  routing:       {stats.single_shard} single-shard, "
               f"{stats.scattered} scattered ({stats.scatter_legs} legs)")
         print(f"  hedging:       {stats.hedges_fired} fired, "
@@ -510,110 +516,6 @@ def run_fleet_command(args: argparse.Namespace, replicas=None) -> int:
             print(f"  supervisor:    {sup.restarts} restarts "
                   f"({sup.failed_restarts} failed, {sup.gave_up} gave up)")
         versions = {
-            name: h.snapshot_version for name, h in stats.replica_health
-        }
-        print(f"  replicas:      versions {versions}")
-        if args.json:
-            payload = {
-                "command": "fleet",
-                "artifact": args.from_artifact,
-                "transport": "process" if args.process else "thread",
-                "report": report.to_dict(),
-                "fleet": stats.to_dict(),
-            }
-            if supervisor is not None:
-                payload["supervisor"] = supervisor.stats().to_dict()
-            if chaos_plan_path:
-                payload["chaos_plan"] = chaos_plan_path
-            _write_json(args.json, payload)
-        return 0 if report.errors == 0 else 1
-    finally:
-        if supervisor is not None:
-            supervisor.close()
-        if not owned:
-            router.close()
-        if chaos_plan_path:
-            inject.uninstall()
-            os.environ.pop(inject.ENV_PLAN, None)
-
-
-def run_fleet_tenants(args: argparse.Namespace, replicas=None) -> int:
-    """Drive a multi-tenant fleet: every replica serves every tenant."""
-    from repro.artifact import parse_tenant_specs
-    from repro.fleet import (
-        FleetConfig,
-        FleetRouter,
-        InProcessReplica,
-        SubprocessReplica,
-    )
-    from repro.serving.service import ServiceConfig
-    from repro.serving.tenancy import TenantSpec
-
-    specs = parse_tenant_specs(args.tenant)
-    tenant_specs = tuple(
-        TenantSpec(name, specs[name]) for name in sorted(specs)
-    )
-
-    def _make_replica(name: str):
-        if args.process:
-            return SubprocessReplica(
-                name,
-                tenants={
-                    tenant: str(path) for tenant, path in specs.items()
-                },
-                detection_workers=args.workers,
-            )
-        return InProcessReplica(
-            name,
-            tenant_specs=tenant_specs,
-            service_config=ServiceConfig(detection_workers=args.workers),
-        )
-
-    owned = replicas is not None
-    if replicas is None:
-        replicas = []
-        for index in range(args.replicas):
-            name = f"replica-{index}"
-            print(
-                f"starting {name} "
-                f"({'process' if args.process else 'thread'}) serving "
-                f"{len(specs)} tenants...",
-                file=sys.stderr,
-            )
-            replicas.append(_make_replica(name))
-    config = FleetConfig(
-        deadline_seconds=getattr(args, "deadline", None),
-        allow_degraded=getattr(args, "allow_degraded", False),
-    )
-    router = FleetRouter.from_tenant_artifacts(
-        dict(specs), replicas, sharding=args.sharding, config=config
-    )
-
-    class _RouterTenantClient:
-        """Duck-types the LoadGenerator's service for one tenant."""
-
-        def __init__(self, tenant: str) -> None:
-            self.tenant = tenant
-
-        def query(self, query, min_zscore=None):
-            return router.query(query, min_zscore, tenant=self.tenant)
-
-    try:
-        reports, failures = _replay_tenants(
-            _RouterTenantClient, specs, args
-        )
-        stats = router.stats()
-        for tenant in sorted(specs):
-            if tenant in failures:
-                print(f"tenant {tenant}: FAILED — {failures[tenant]}")
-                continue
-            print(reports[tenant].render(
-                f"tenant {tenant} fleet replay — {stats.replicas} replicas, "
-                f"{stats.policy} sharding"
-            ))
-        print(f"  routing:       {stats.single_shard} single-shard, "
-              f"{stats.scattered} scattered ({stats.scatter_legs} legs)")
-        versions = {
             name: {
                 entry.tenant: entry.snapshot_version
                 for entry in health.tenants
@@ -622,27 +524,42 @@ def run_fleet_tenants(args: argparse.Namespace, replicas=None) -> int:
         }
         print(f"  replicas:      per-tenant versions {versions}")
         if args.json:
-            _write_json(args.json, {
+            by_tenant = {
+                tenant: {
+                    "artifact": specs[tenant],
+                    "report": reports[tenant].to_dict()
+                    if tenant in reports else None,
+                    "error": failures.get(tenant),
+                }
+                for tenant in sorted(specs)
+            }
+            payload = {
                 "command": "fleet",
                 "transport": "process" if args.process else "thread",
-                "tenants": {
-                    tenant: {
-                        "artifact": str(specs[tenant]),
-                        "report": reports[tenant].to_dict()
-                        if tenant in reports else None,
-                        "error": failures.get(tenant),
-                    }
-                    for tenant in sorted(specs)
-                },
                 "fleet": stats.to_dict(),
-            })
+            }
+            if tenant_flags:
+                payload["tenants"] = by_tenant
+            else:
+                # one artifact: its entry is the payload's top level
+                payload.update(by_tenant[DEFAULT_TENANT])
+            if supervisor is not None:
+                payload["supervisor"] = supervisor.stats().to_dict()
+            if chaos_plan_path:
+                payload["chaos_plan"] = chaos_plan_path
+            _write_json(args.json, payload)
         clean = not failures and all(
             report.errors == 0 for report in reports.values()
         )
         return 0 if clean else 1
     finally:
-        if not owned:
+        if supervisor is not None:
+            supervisor.close()
+        if not injected:
             router.close()
+        if chaos_plan_path:
+            inject.uninstall()
+            os.environ.pop(inject.ENV_PLAN, None)
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -651,14 +568,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         if value < 1:
             print(f"--{name} must be >= 1, got {value}", file=sys.stderr)
             return 2
-    if getattr(args, "tenant", None):
-        if args.from_artifact:
-            print("--tenant and --from-artifact are mutually exclusive; "
-                  "name every corpus with --tenant NAME=DIR",
-                  file=sys.stderr)
-            return 2
-        return run_fleet_tenants(args)
-    if not args.from_artifact:
+    if getattr(args, "tenant", None) and args.from_artifact:
+        print("--tenant and --from-artifact are mutually exclusive; "
+              "name every corpus with --tenant NAME=DIR",
+              file=sys.stderr)
+        return 2
+    if not getattr(args, "tenant", None) and not args.from_artifact:
         print("fleet needs --from-artifact DIR (or --tenant NAME=DIR "
               "flags)", file=sys.stderr)
         return 2

@@ -1,34 +1,31 @@
 """Replica handles: the router's uniform view of a serving worker.
 
-Two transports behind one duck type:
+Two transports behind one duck type, one host behind both — every
+replica serves through a
+:class:`~repro.serving.tenancy.MultiTenantService`:
 
-* :class:`InProcessReplica` — an :class:`~repro.serving.service.ExpertService`
-  over its own (or a shared, read-only) :class:`~repro.core.esharp.ESharp`
-  in this process; calls are plain method calls.
+* :class:`InProcessReplica` — the host lives in this process; calls are
+  plain method calls.  Given ``tenant_specs`` it serves those corpora;
+  given one loaded :class:`~repro.core.esharp.ESharp` it serves that
+  system as tenant ``default``.
 * :class:`SubprocessReplica` — a ``python -m repro fleet-worker`` child
-  warm-started from an artifact directory, spoken to over the JSON-lines
-  protocol of :mod:`repro.fleet.wire`; a reader thread resolves pending
-  futures by request id, so many requests overlap on one worker.
+  warm-started from artifact directories (``tenants={name: dir}``, or
+  one ``artifact_dir`` as tenant ``default``), spoken to over the
+  JSON-lines protocol of :mod:`repro.fleet.wire`; a reader thread
+  resolves pending futures by request id, so many requests overlap on
+  one worker.
 
 Both expose the same surface: ``query`` / ``score_partial`` (the scatter
 unit: a term slice's top ``limit``, ``limit`` required) / ``health`` /
-``preload`` + ``promote`` (the two promotion
-phases) / ``close``, plus the resilience hooks the supervisor leans on:
-``is_alive`` (cheap liveness), ``ping(timeout=...)`` (bounded
-responsiveness probe), and ``supports_budget`` (the router only passes
-``budget_seconds`` to replicas that declare it, so simpler duck-typed
-test doubles keep working).
-
-Both transports are tenant-aware (``supports_tenants``): constructed
-with tenant specs they serve many corpora from one replica — an
-in-process replica wraps a
-:class:`~repro.serving.tenancy.MultiTenantService`, a subprocess one
-passes repeated ``--tenant NAME=DIR`` flags to its worker.  ``query``,
-``score_partial``, ``preload``, and ``promote`` all take a ``tenant``
-keyword (defaulting to the classic single-tenant ``"default"``), and
-``tenants`` names what the replica serves — the supervisor records it
-on restart so a healed multi-tenant replica provably recovered every
-corpus.
+``preload`` + ``promote`` (the two promotion phases) / ``close``, each
+serving call taking a ``tenant`` keyword (``"default"`` when omitted),
+plus the resilience hooks the supervisor leans on: ``is_alive`` (cheap
+liveness), ``ping(timeout=...)`` (bounded responsiveness probe),
+``tenants`` (what the replica serves — the supervisor records it on
+restart so a healed replica provably recovered every corpus), and the
+``supports_budget`` / ``supports_tenants`` markers (the router only
+passes ``budget_seconds`` / ``tenant`` to replicas that declare them, so
+simpler duck-typed test doubles keep working).
 """
 
 from __future__ import annotations
@@ -58,13 +55,14 @@ from repro.fleet.wire import (
     read_frame,
     write_message,
 )
-from repro.serving.errors import DeadlineExceededError, UnknownTenantError
+from repro.serving.errors import DeadlineExceededError, TenantStageError
 from repro.serving.service import (
     DEFAULT_TENANT,
     PartialPool,
     ReplicaHealthReport,
     ServedAnswer,
 )
+from repro.serving.tenancy import TenantSpec, open_host
 
 #: stderr lines a subprocess replica retains for startup diagnostics
 STDERR_TAIL_LINES = 50
@@ -76,9 +74,9 @@ BUDGET_GRACE_SECONDS = 0.25
 class InProcessReplica:
     """A replica living in the router's process (one thread pool each).
 
-    Single-tenant by default (``system``); constructed with
-    ``tenant_specs`` instead, it serves many corpora from one shared
-    engine (:class:`~repro.serving.tenancy.MultiTenantService`).
+    ``InProcessReplica(name, system)`` serves one loaded system as
+    tenant ``default``; ``InProcessReplica(name, tenant_specs=...)``
+    serves the named corpora from their artifact directories.
     """
 
     kind = "thread"
@@ -94,34 +92,25 @@ class InProcessReplica:
         tenant_specs=None,
         max_resident: Optional[int] = None,
     ) -> None:
-        from repro.serving.service import ExpertService
-
-        self.name = name
-        self.system = system
-        if tenant_specs is not None:
-            if system is not None:
-                raise ValueError(
-                    "pass either a system or tenant_specs, not both"
-                )
-            from repro.serving.tenancy import MultiTenantService
-
-            self.service = MultiTenantService(
-                tenant_specs, service_config, max_resident=max_resident
+        if (system is None) == (tenant_specs is None):
+            raise ValueError(
+                "pass exactly one of a system or tenant_specs, not both"
             )
-            self.tenants: Tuple[str, ...] = self.service.tenants()
-            self._multi = True
-        else:
-            if system is None:
-                raise ValueError("a single-tenant replica needs a system")
-            self.service = ExpertService(system, service_config)
-            self.tenants = (DEFAULT_TENANT,)
-            self._multi = False
-        self._staged = None
+        self.name = name
+        adopted = system is not None
+        if adopted:
+            tenant_specs = (TenantSpec(DEFAULT_TENANT, "<adopted>"),)
+        self.service = open_host(
+            tenant_specs,
+            service_config,
+            max_resident=max_resident,
+            loader=(lambda _spec: system) if adopted else None,
+        )
+        if adopted:
+            # no directory to reload it from: never evicted
+            self.service.registry.mark_dirty(DEFAULT_TENANT)
+        self.tenants: Tuple[str, ...] = self.service.tenants()
         self._closed = False
-
-    def _check_tenant(self, tenant: str) -> None:
-        if not self._multi and tenant != DEFAULT_TENANT:
-            raise UnknownTenantError(tenant, self.tenants)
 
     def query(
         self,
@@ -132,13 +121,8 @@ class InProcessReplica:
         tenant: str = DEFAULT_TENANT,
     ) -> ServedAnswer:
         fire("replica.call", replica=self.name, op="query", tenant=tenant)
-        if self._multi:
-            return self.service.query(
-                tenant, query, min_zscore, budget_seconds=budget_seconds
-            )
-        self._check_tenant(tenant)
         return self.service.query(
-            query, min_zscore, budget_seconds=budget_seconds
+            tenant, query, min_zscore, budget_seconds=budget_seconds
         )
 
     def score_partial(
@@ -151,17 +135,12 @@ class InProcessReplica:
         tenant: str = DEFAULT_TENANT,
     ) -> PartialPool:
         fire("replica.call", replica=self.name, op="partial", tenant=tenant)
-        if self._multi:
-            return self.service.score_partial(
-                tenant,
-                query,
-                indexed_terms,
-                limit=limit,
-                budget_seconds=budget_seconds,
-            )
-        self._check_tenant(tenant)
         return self.service.score_partial(
-            query, indexed_terms, limit=limit, budget_seconds=budget_seconds
+            tenant,
+            query,
+            indexed_terms,
+            limit=limit,
+            budget_seconds=budget_seconds,
         )
 
     def health(self) -> ReplicaHealthReport:
@@ -175,21 +154,13 @@ class InProcessReplica:
 
     @property
     def snapshot_version(self) -> int:
-        if self._multi:
-            if DEFAULT_TENANT in self.tenants:
-                return self.service.tenant_version(DEFAULT_TENANT) or 0
-            return 0
-        return self.system.snapshots.version
+        return self.service.default_version()
 
     def preload(
         self, artifact_dir, *, tenant: str = DEFAULT_TENANT
     ) -> int:
         """Phase one: load the artifact fully, publish nothing."""
-        if self._multi:
-            return self.service.stage(tenant, artifact_dir)
-        self._check_tenant(tenant)
-        self._staged = self.system.stage_artifact(artifact_dir)
-        return self._staged.version
+        return self.service.stage(tenant, artifact_dir)
 
     def promote(
         self,
@@ -198,21 +169,14 @@ class InProcessReplica:
         tenant: str = DEFAULT_TENANT,
     ) -> int:
         """Phase two: CAS-flip the preloaded generation into serving."""
-        if self._multi:
+        try:
             return self.service.promote(
                 tenant, expected_version=expected_version
             )
-        self._check_tenant(tenant)
-        staged = self._staged
-        if staged is None:
+        except TenantStageError as exc:
             raise PromotionError(
                 f"replica {self.name}: promote() before preload()"
-            )
-        snapshot = self.system.promote_staged(
-            staged, expected_version=expected_version
-        )
-        self._staged = None
-        return snapshot.version
+            ) from exc
 
     def close(self) -> None:
         self._closed = True
@@ -220,11 +184,12 @@ class InProcessReplica:
 
 
 class SubprocessReplica:
-    """A replica in its own process, warm-started from an artifact.
+    """A replica in its own process, warm-started from artifacts.
 
-    Pass ``tenants={name: artifact_dir}`` instead of ``artifact_dir``
-    to start a multi-tenant worker (repeated ``--tenant NAME=DIR``
-    flags); the ready handshake reports back which tenants it serves.
+    ``tenants={name: artifact_dir}`` names the corpora (repeated
+    ``--tenant NAME=DIR`` flags); a lone ``artifact_dir`` is
+    ``{"default": artifact_dir}`` (``--from-artifact DIR``).  The ready
+    handshake reports back which tenants the worker serves.
     """
 
     kind = "process"
@@ -248,6 +213,8 @@ class SubprocessReplica:
             raise ValueError(
                 "pass exactly one of artifact_dir or tenants"
             )
+        if tenants is None:
+            tenants = {DEFAULT_TENANT: artifact_dir}
         self.name = name
         self._timeout = request_timeout_seconds
         command = [
@@ -256,14 +223,8 @@ class SubprocessReplica:
             "repro",
             "fleet-worker",
         ]
-        if tenants is not None:
-            for tenant_name in sorted(tenants):
-                command += [
-                    "--tenant",
-                    f"{tenant_name}={tenants[tenant_name]}",
-                ]
-        else:
-            command += ["--from-artifact", str(artifact_dir)]
+        for tenant_name in sorted(tenants):
+            command += ["--tenant", f"{tenant_name}={tenants[tenant_name]}"]
         command += [
             "--detection-workers",
             str(detection_workers),
@@ -336,9 +297,7 @@ class SubprocessReplica:
             self.close()
             raise
         self.snapshot_version = int(ready.get("version", 0))
-        self.tenants: Tuple[str, ...] = tuple(
-            ready.get("tenants") or (DEFAULT_TENANT,)
-        )
+        self.tenants: Tuple[str, ...] = tuple(ready.get("tenants", ()))
 
     # -- the uniform replica surface -----------------------------------------
 

@@ -296,9 +296,11 @@ class FleetRouter:
         expansion_policy=None,
         graph=None,
         config: Optional[FleetConfig] = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> None:
-        from repro.expansion.policies import FullCommunityPolicy
-
+        """``domain_store`` / ``ranking`` / ``sharding`` are the routing
+        state of ``tenant`` (the default tenant unless named);
+        :meth:`add_tenant` grows the table."""
         if not replicas:
             raise ValueError("a fleet needs at least one replica")
         names = [replica.name for replica in replicas]
@@ -314,21 +316,16 @@ class FleetRouter:
                 f"sharding covers {self.sharding.num_shards} shards but the "
                 f"fleet has {len(self.replicas)} replicas"
             )
-        self._store = domain_store
-        self._ranking = ranking
-        self._policy = expansion_policy or FullCommunityPolicy()
-        self._graph = graph
-        #: tenant → routing state; the classic constructor serves the
-        #: default tenant, ``add_tenant`` grows the table
-        self._routes: Dict[str, _TenantRoute] = {
-            DEFAULT_TENANT: _TenantRoute(
-                store=self._store,
-                ranking=self._ranking,
-                sharding=self.sharding,
-                policy=self._policy,
-                graph=self._graph,
-            )
-        }
+        #: tenant → routing state
+        self._routes: Dict[str, _TenantRoute] = {}
+        self.add_tenant(
+            tenant,
+            domain_store,
+            ranking,
+            sharding=self.sharding,
+            expansion_policy=expansion_policy,
+            graph=graph,
+        )
         self._by_name = {replica.name: replica for replica in replicas}
         self._tracker = ReplicaTracker(
             names,
@@ -373,32 +370,14 @@ class FleetRouter:
         expected_config=None,
         config: Optional[FleetConfig] = None,
     ) -> "FleetRouter":
-        """Build a router whose routing state warm-starts from an artifact.
-
-        Loads **only** the domain-store stage
-        (:func:`~repro.artifact.load_artifact_stages`) — the front-end
-        needs the keyword → domain map for expansion/routing, not the
-        corpus — plus the manifest config for ranking semantics.
-        """
-        from repro.artifact import load_artifact_stages
-
-        partial = load_artifact_stages(
-            path, ("domain_store",), expected_config
-        )
-        domain_store = partial.values["domain_store"]
-        if sharding == "domain":
-            policy: ShardingPolicy = DomainPartitionSharding.from_store(
-                len(replicas), domain_store
-            )
-        elif sharding == "hash":
-            policy = TokenHashSharding(len(replicas))
-        else:
-            raise ValueError(f"unknown sharding policy {sharding!r}")
-        return cls(
+        """Build a router whose routing state warm-starts from one
+        artifact, routed as tenant ``default`` — the one-tenant case of
+        :meth:`from_tenant_artifacts`."""
+        return cls.from_tenant_artifacts(
+            {DEFAULT_TENANT: path},
             replicas,
-            domain_store=domain_store,
-            ranking=partial.config.ranking,
-            sharding=policy,
+            sharding=sharding,
+            expected_config=expected_config,
             config=config,
         )
 
@@ -409,54 +388,41 @@ class FleetRouter:
         replicas: Sequence,
         *,
         sharding: str = "domain",
+        expected_config=None,
         config: Optional[FleetConfig] = None,
     ) -> "FleetRouter":
-        """Build a multi-tenant router: one route per tenant artifact.
+        """Build a router with one route per tenant artifact.
 
-        ``tenant_dirs`` maps tenant name → artifact directory; each
-        tenant gets its own domain store, ranking config, and sharding
-        plan (loaded front-end-only, like :meth:`from_artifact`).  The
-        replicas must themselves serve those tenants (constructed with
-        matching tenant specs).  The default single-tenant route exists
-        only if ``tenant_dirs`` names the default tenant.
+        ``tenant_dirs`` maps tenant name → artifact directory.  Per
+        tenant this loads **only** the domain-store stage
+        (:func:`~repro.artifact.load_artifact_stages`) — the front-end
+        needs the keyword → domain map for expansion/routing, not the
+        corpus — plus the manifest config for ranking semantics
+        (``expected_config``, when given, is checked against every
+        manifest), and plans its sharding.  The replicas must themselves
+        serve those tenants.  Only the named tenants route: there is a
+        ``default`` route iff ``tenant_dirs`` names it.
         """
         from repro.artifact import load_artifact_stages
 
         if not tenant_dirs:
             raise FleetError("from_tenant_artifacts needs at least one tenant")
-        names = sorted(tenant_dirs)
-        first = load_artifact_stages(
-            tenant_dirs[names[0]], ("domain_store",), None
-        )
-        router = cls(
-            replicas,
-            domain_store=first.values["domain_store"],
-            ranking=first.config.ranking,
-            sharding=cls._shard_policy(
-                sharding, len(replicas), first.values["domain_store"]
-            ),
-            config=config,
-        )
-        # the seed route above landed under the default tenant; re-key
-        # the table so only the named tenants route
-        del router._routes[DEFAULT_TENANT]
-        router.add_tenant(
-            names[0],
-            first.values["domain_store"],
-            first.config.ranking,
-            sharding=router.sharding,
-        )
-        for tenant in names[1:]:
+        router = None
+        for tenant in sorted(tenant_dirs):
             partial = load_artifact_stages(
-                tenant_dirs[tenant], ("domain_store",), None
+                tenant_dirs[tenant], ("domain_store",), expected_config
             )
-            store = partial.values["domain_store"]
-            router.add_tenant(
-                tenant,
-                store,
-                partial.config.ranking,
-                sharding=cls._shard_policy(sharding, len(replicas), store),
+            route = dict(
+                domain_store=partial.values["domain_store"],
+                ranking=partial.config.ranking,
+                sharding=cls._shard_policy(
+                    sharding, len(replicas), partial.values["domain_store"]
+                ),
             )
+            if router is None:
+                router = cls(replicas, config=config, tenant=tenant, **route)
+            else:
+                router.add_tenant(tenant, **route)
         return router
 
     @staticmethod
@@ -581,8 +547,8 @@ class FleetRouter:
         provenance fields.  ``deadline_seconds`` (or the config default)
         bounds the whole call end to end; a degraded partial (only with
         ``allow_degraded``) is marked by ``coverage < 1.0``.
-        ``tenant`` picks the corpus (and its route); the default tenant
-        is the classic single-tenant fleet.
+        ``tenant`` picks the corpus (and its route); a router built by
+        :meth:`from_artifact` routes exactly the default tenant.
         """
         if self._closed:
             raise ServiceClosedError("fleet router is closed")
@@ -744,8 +710,8 @@ class FleetRouter:
     @staticmethod
     def _tenant_kwargs(replica, tenant: str) -> dict:
         """``{"tenant": ...}`` for tenant-aware replicas; the default
-        tenant rides for free on legacy replicas, any other tenant on a
-        tenant-blind replica is a routing bug surfaced typed."""
+        tenant rides for free on tenant-blind replicas (test doubles),
+        any other tenant on one is a routing bug surfaced typed."""
         if getattr(replica, "supports_tenants", False):
             return {"tenant": tenant}
         if tenant != DEFAULT_TENANT:

@@ -3,8 +3,9 @@
 One request or response per line, UTF-8 JSON.  Requests carry a
 monotonically increasing ``id``; responses echo it with either ``ok``
 (the payload) or ``error`` (``{"type", "message"}``).  The worker's
-very first line is an unsolicited ``{"op": "ready", "version": V}``
-handshake so the parent knows the artifact finished loading.
+very first line is an unsolicited ``{"op": "ready", "version": V,
+"tenants": [...]}`` handshake so the parent knows the worker is up and
+what it serves.
 
 Floats cross the wire through ``json`` (repr-based), which round-trips
 every finite IEEE-754 double **exactly** — a score computed on a worker

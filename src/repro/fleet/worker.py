@@ -1,9 +1,9 @@
 """The ``python -m repro fleet-worker`` main loop.
 
 A worker is one warm-started replica speaking the JSON-lines protocol of
-:mod:`repro.fleet.wire` on stdio: load the artifact, announce
-``{"op": "ready", "version": V}``, then serve requests until
-``shutdown``.  Requests run on a small thread pool so a health probe (or
+:mod:`repro.fleet.wire` on stdio: open its tenants, announce
+``{"op": "ready", "version": V, "tenants": [...]}``, then serve requests
+until ``shutdown``.  Requests run on a small thread pool so a health probe (or
 a hedged duplicate) is answered while a slow query is still scoring;
 ``cancel`` marks a request id so a not-yet-started request is dropped
 instead of computed.  A ``partial`` request must carry the router's
@@ -19,13 +19,13 @@ service runs — a request that waited out its budget fails typed
 *before* loading the artifact, so injected faults cover warm start
 (artifact reads) as well as serving (dispatch, reply frames).
 
-Multi-tenancy: started with ``--tenant NAME=DIR`` flags instead of
-``--from-artifact``, the worker wraps a
+Tenancy: the worker always serves through a
 :class:`~repro.serving.tenancy.MultiTenantService` and every request's
-``tenant`` field routes it to the right corpus; the ready handshake
-grows a ``tenants`` list so the parent knows what this worker serves.
-The classic single-artifact path is untouched — frames without a
-``tenant`` field behave exactly as before.
+``tenant`` field (``"default"`` when absent) routes it to the right
+corpus.  ``--tenant NAME=DIR`` flags name the tenants;
+``--from-artifact DIR`` is ``--tenant default=DIR``.  ``V`` in the ready
+frame is the default tenant's version (0 when this worker does not
+serve it, or has not loaded it yet).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import IO, Mapping, Optional
 
 from repro.chaos.inject import fire
@@ -48,12 +49,9 @@ from repro.fleet.wire import (
     read_frame,
     write_message,
 )
-from repro.serving.errors import DeadlineExceededError, UnknownTenantError
-from repro.serving.service import (
-    DEFAULT_TENANT,
-    ExpertService,
-    ServiceConfig,
-)
+from repro.serving.errors import DeadlineExceededError, TenantStageError
+from repro.serving.service import DEFAULT_TENANT, ServiceConfig
+from repro.serving.tenancy import TenantSpec, open_host
 
 #: request threads per worker — enough for overlapping scatter legs plus
 #: a health probe; the service's own admission control bounds real work
@@ -61,11 +59,7 @@ WORKER_THREADS = 4
 
 
 class FleetWorker:
-    """One replica process: an :class:`ExpertService` behind a wire loop."""
-
-    # single-tenant unless __init__ saw a tenant map; class default keeps
-    # partially-constructed workers on the legacy dispatch path
-    _multi = False
+    """One replica process: a tenant host behind a wire loop."""
 
     def __init__(
         self,
@@ -83,35 +77,33 @@ class FleetWorker:
             raise ValueError(
                 "pass exactly one of artifact_dir or tenants"
             )
+        if tenants is None:
+            tenants = {DEFAULT_TENANT: artifact_dir}
         self.name = name
         self._reader = reader if reader is not None else sys.stdin
         self._writer = writer if writer is not None else sys.stdout
         self._write_lock = threading.Lock()
         config = ServiceConfig(detection_workers=detection_workers)
         if cache_capacity is not None:
-            from dataclasses import replace
-
             config = replace(config, cache_capacity=cache_capacity)
-        if tenants is not None:
-            from repro.serving.tenancy import MultiTenantService, TenantSpec
 
-            specs = tuple(
-                TenantSpec(tenant, tenants[tenant])
-                for tenant in sorted(tenants)
-            )
-            self.system = None
-            self.service = MultiTenantService(specs, config)
-            self.tenants = self.service.tenants()
-            self._multi = True
-        else:
-            self.system = ESharp.from_artifact(artifact_dir)
+        def load(spec: TenantSpec) -> ESharp:
+            system = ESharp.from_artifact(spec.artifact_dir)
             if score_cache_capacity is not None:
-                self.system.detector.configure_score_cache(
+                system.detector.configure_score_cache(
                     cache_capacity=score_cache_capacity
                 )
-            self.service = ExpertService(self.system, config)
-            self.tenants = (DEFAULT_TENANT,)
-            self._multi = False
+            return system
+
+        self.service = open_host(
+            tuple(
+                TenantSpec(tenant, tenants[tenant])
+                for tenant in sorted(tenants)
+            ),
+            config,
+            loader=load,
+        )
+        self.tenants = self.service.tenants()
         self._cancel_lock = threading.Lock()
         #: ids handed to the pool that no thread has picked up yet; a
         #: cancel is recorded only for one of these, so both sets drain
@@ -180,10 +172,6 @@ class FleetWorker:
             )
         return remaining
 
-    def _check_tenant(self, tenant: str) -> None:
-        if not self._multi and tenant != DEFAULT_TENANT:
-            raise UnknownTenantError(tenant, self.tenants)
-
     def _dispatch(self, message: dict, received_at: Optional[float] = None):
         op = message.get("op")
         tenant = str(message.get("tenant", DEFAULT_TENANT))
@@ -196,66 +184,34 @@ class FleetWorker:
         if op == "ping":
             return "pong"
         if op == "query":
-            budget = self._budget_remaining(message, received_at)
-            if self._multi:
-                answer = self.service.query(
-                    tenant,
-                    message["query"],
-                    message.get("min_zscore"),
-                    budget_seconds=budget,
-                )
-            else:
-                self._check_tenant(tenant)
-                answer = self.service.query(
-                    message["query"],
-                    message.get("min_zscore"),
-                    budget_seconds=budget,
-                )
+            answer = self.service.query(
+                tenant,
+                message["query"],
+                message.get("min_zscore"),
+                budget_seconds=self._budget_remaining(message, received_at),
+            )
             return answer_to_wire(answer)
         if op == "partial":
             limit = limit_from_wire(message)
-            budget = self._budget_remaining(message, received_at)
-            terms = [(index, term) for index, term in message["terms"]]
-            if self._multi:
-                pool = self.service.score_partial(
-                    tenant,
-                    message["query"],
-                    terms,
-                    limit=limit,
-                    budget_seconds=budget,
-                )
-            else:
-                self._check_tenant(tenant)
-                pool = self.service.score_partial(
-                    message["query"],
-                    terms,
-                    limit=limit,
-                    budget_seconds=budget,
-                )
+            pool = self.service.score_partial(
+                tenant,
+                message["query"],
+                [(index, term) for index, term in message["terms"]],
+                limit=limit,
+                budget_seconds=self._budget_remaining(message, received_at),
+            )
             return partial_to_wire(pool)
         if op == "health":
             return self.service.health().to_dict()
         if op == "preload":
-            if self._multi:
-                return self.service.stage(tenant, message["path"])
-            self._check_tenant(tenant)
-            self._staged = self.system.stage_artifact(message["path"])
-            return self._staged.version
+            return self.service.stage(tenant, message["path"])
         if op == "promote":
-            if self._multi:
+            try:
                 return self.service.promote(
-                    tenant,
-                    expected_version=message.get("expected_version"),
+                    tenant, expected_version=message.get("expected_version")
                 )
-            self._check_tenant(tenant)
-            staged = getattr(self, "_staged", None)
-            if staged is None:
-                raise PromotionError("promote before preload")
-            snapshot = self.system.promote_staged(
-                staged, expected_version=message.get("expected_version")
-            )
-            self._staged = None
-            return snapshot.version
+            except TenantStageError as exc:
+                raise PromotionError("promote before preload") from exc
         raise WorkerProtocolError(f"unknown op {op!r}")
 
     # -- the main loop ----------------------------------------------------------
@@ -285,17 +241,13 @@ class FleetWorker:
         executor = ThreadPoolExecutor(
             max_workers=WORKER_THREADS, thread_name_prefix="fleet-worker"
         )
-        ready = {
-            "op": "ready",
-            "version": (
-                self.system.snapshots.version
-                if self.system is not None
-                else 0
-            ),
-        }
-        if self._multi:
-            ready["tenants"] = list(self.tenants)
-        self._write(ready)
+        self._write(
+            {
+                "op": "ready",
+                "version": self.service.default_version(),
+                "tenants": list(self.tenants),
+            }
+        )
         try:
             while True:
                 try:

@@ -9,10 +9,11 @@ package supplies the machinery between those two facts:
 * :mod:`repro.serving.cache` — bounded LRU+TTL result cache with counters
 * :mod:`repro.serving.singleflight` — duplicate in-flight coalescing
 * :mod:`repro.serving.workers` — worker pool + micro-batch scheduler
-* :mod:`repro.serving.admission` — backpressure / overload rejection
-* :mod:`repro.serving.quotas` — per-tenant quotas, weighted-fair admission
-* :mod:`repro.serving.service` — the :class:`ExpertService` facade
-* :mod:`repro.serving.tenancy` — many corpora behind one shared engine
+* :mod:`repro.serving.quotas` — admission control: backpressure, per-tenant
+  quotas, weighted-fair grants (the one controller)
+* :mod:`repro.serving.service` — the :class:`ExpertService` facade and the
+  :class:`ServingRuntime` bundle it serves on
+* :mod:`repro.serving.tenancy` — many corpora behind one shared runtime
 * :mod:`repro.serving.loadgen` — Zipf workload replay + latency harness
 
 Exports resolve lazily, so importing one light piece (say, the errors)
@@ -24,8 +25,7 @@ from __future__ import annotations
 from typing import Any
 
 _EXPORTS = {
-    "AdmissionController": "repro.serving.admission",
-    "AdmissionStats": "repro.serving.admission",
+    "AdmissionStats": "repro.serving.quotas",
     "CacheInfo": "repro.serving.cache",
     "LRUCache": "repro.serving.cache",
     "DEFAULT_TENANT": "repro.serving.service",
@@ -35,6 +35,7 @@ _EXPORTS = {
     "ServiceConfig": "repro.serving.service",
     "ServiceStats": "repro.serving.service",
     "ServedAnswer": "repro.serving.service",
+    "ServingRuntime": "repro.serving.service",
     "TenantHealth": "repro.serving.service",
     "FairAdmissionController": "repro.serving.quotas",
     "TenantAdmissionStats": "repro.serving.quotas",

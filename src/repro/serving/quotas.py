@@ -1,15 +1,22 @@
-"""Per-tenant admission quotas with weighted-fair scheduling.
+"""Admission control: bounded concurrency, backpressure, per-tenant quotas.
 
-The multi-tenant sibling of :mod:`repro.serving.admission`: one shared
+An interactive service protects its latency target by refusing work it
+cannot start soon, instead of queueing unboundedly.  One shared
 execution capacity (``max_in_flight``) is split across tenants, each
 bounded by its own :class:`TenantQuota` (concurrency cap, wait-queue
-depth, fair-share weight).  A noisy tenant saturating its quota is
-rejected with the *tenant-typed*
-:class:`~repro.serving.errors.TenantOverloadedError`; tenants under
-their quota keep being admitted, and when the shared capacity itself is
-contended, freed slots are granted to the eligible waiting tenant with
-the lowest ``in_flight / weight`` load — weighted fair sharing, so no
-tenant starves behind another's backlog.
+depth, fair-share weight).  A tenant saturating its quota — or waiting
+longer than ``timeout_seconds`` at its own cap — is rejected with the
+*tenant-typed* :class:`~repro.serving.errors.TenantOverloadedError` (a
+:class:`~repro.serving.errors.ServiceOverloadedError`, so clients back
+off deliberately either way); tenants under their quota keep being
+admitted, and when the shared capacity itself is contended, freed slots
+are granted to the eligible waiting tenant with the lowest
+``in_flight / weight`` load — weighted fair sharing, so no tenant
+starves behind another's backlog.
+
+A standalone :class:`~repro.serving.service.ExpertService` is the
+one-tenant registration: tenant ``default`` with a quota as wide as the
+whole envelope.
 
 Grants are counters, not bare notifies: a freed slot is *reserved* for
 the chosen tenant (``granted``) before its waiter wakes, so a wakeup
@@ -25,13 +32,27 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.serving.admission import AdmissionStats
 from repro.serving.errors import (
     AdmissionProtocolError,
     ServiceClosedError,
     ServiceOverloadedError,
     TenantOverloadedError,
 )
+
+
+@dataclass(frozen=True)
+class AdmissionStats:
+    """Counters for the ops surface (rejections are split by cause)."""
+
+    admitted: int
+    rejected_queue_full: int
+    rejected_timeout: int
+    in_flight: int
+    waiting: int
+
+    @property
+    def rejected(self) -> int:
+        return self.rejected_queue_full + self.rejected_timeout
 
 
 @dataclass(frozen=True)
@@ -121,14 +142,9 @@ class _TenantGate:
 class FairAdmissionController:
     """Shared-capacity admission split into per-tenant quotas.
 
-    API-compatible with :class:`AdmissionController` except that
     :meth:`slot`/:meth:`acquire`/:meth:`release` take the tenant name;
-    the ``per_tenant`` class flag lets callers detect which flavour they
-    were handed (mirroring the fleet's ``supports_budget`` duck-typing).
+    an unregistered tenant gets ``default_quota`` on first use.
     """
-
-    #: duck-type marker: slot()/acquire()/release() take a tenant name
-    per_tenant = True
 
     def __init__(
         self,
@@ -329,35 +345,32 @@ class FairAdmissionController:
     def drain(self, timeout: float | None = None) -> int:
         """Block until no tenant has work executing or waiting.
 
-        Returns the number of still-busy requests when the timeout
-        expired (``0`` = fully idle), like
-        :meth:`AdmissionController.drain`.
+        The serving tier's graceful shutdown: the caller first stops
+        admitting new work (:meth:`close`), then drains, then tears down
+        the pools the in-flight requests are still using.  Returns the
+        number of requests still admitted or queued when the call gave
+        up — ``0`` means the controller went fully idle, a positive
+        count means the timeout expired with that many stragglers (a
+        stuck worker therefore bounds shutdown instead of blocking it
+        forever, and the caller knows exactly how much work it orphaned).
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while True:
-                busy = sum(gate.busy() for gate in self._gates.values())
-                if busy == 0:
-                    return 0
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return busy
-                self._idle.wait(remaining)
+        return self._drain(None, timeout)
 
     def drain_tenant(self, tenant: str, timeout: float | None = None) -> int:
-        """Block until one tenant's requests have all completed.
+        """:meth:`drain` scoped to one tenant: a tenant being closed or
+        evicted waits out only *its own* in-flight work, leaving every
+        other tenant serving."""
+        return self._drain(tenant, timeout)
 
-        The shared-controller analogue of a single service's drain: a
-        tenant being closed or evicted waits out only *its own*
-        in-flight work, leaving every other tenant serving.
-        """
+    def _drain(self, tenant: Optional[str], timeout: float | None) -> int:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._idle:
             while True:
-                gate = self._gates.get(tenant)
-                busy = 0 if gate is None else gate.busy()
+                busy = sum(
+                    gate.busy()
+                    for gate in self._gates.values()
+                    if tenant is None or gate.name == tenant
+                )
                 if busy == 0:
                     return 0
                 remaining = None
@@ -368,12 +381,6 @@ class FairAdmissionController:
                 self._idle.wait(remaining)
 
     # -- observability -----------------------------------------------------------
-
-    def tenant_busy(self, tenant: str) -> int:
-        """Instantaneous executing+waiting+granted count for one tenant."""
-        with self._idle:
-            gate = self._gates.get(tenant)
-            return 0 if gate is None else gate.busy()
 
     @property
     def in_flight(self) -> int:
@@ -386,7 +393,7 @@ class FairAdmissionController:
             return sum(gate.waiting for gate in self._gates.values())
 
     def stats(self) -> AdmissionStats:
-        """Aggregate counters, shaped like the single-tenant controller's."""
+        """Aggregate counters across every tenant."""
         with self._idle:
             return AdmissionStats(
                 admitted=self._admitted,

@@ -17,14 +17,15 @@ many concurrent clients through this facade:
 * admission control bounds in-flight work and queue depth, rejecting the
   overflow with :class:`~repro.serving.errors.ServiceOverloadedError`.
 
-Tenancy: every service carries a ``tenant`` label (``"default"`` for the
-classic single-tenant deployment) which prefixes every cache,
-single-flight, and micro-batch key — so a
-:class:`~repro.serving.tenancy.MultiTenantService` can share one cache,
-one batcher, and one fair admission controller across many tenants with
-zero cross-tenant key collisions.  The shared components are injectable;
-a standalone service constructs (and owns) its own, keeping the
-single-tenant path exactly as before.
+Tenancy: every service carries a ``tenant`` label (``"default"`` unless
+told otherwise) which prefixes every cache, single-flight, and
+micro-batch key and names its admission quota.  The infrastructure
+itself — cache, single-flight table, fair admission controller, pools,
+micro-batcher — lives in one :class:`ServingRuntime`: a standalone
+service builds and owns a private one, a
+:class:`~repro.serving.tenancy.MultiTenantService` builds one and hands
+it to every tenant.  Single-tenant serving is the one-tenant case of
+that, not a second code path.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
 from repro.detector.ranking import RankedExpert
-from repro.serving.admission import AdmissionController, AdmissionStats
 from repro.serving.cache import CacheInfo, LRUCache
 from repro.serving.errors import DeadlineExceededError, ServiceClosedError
+from repro.serving.quotas import (
+    AdmissionStats,
+    FairAdmissionController,
+    TenantQuota,
+)
 from repro.serving.singleflight import SingleFlight
 from repro.serving.snapshot import ServiceSnapshot, SnapshotHolder
 from repro.serving.workers import MicroBatchScheduler, PoolStats, WorkerPool
@@ -51,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.querylog.records import Impression
     from repro.querylog.store import QueryLogStore
 
-#: the tenant name of every pre-tenancy deployment — a plain
-#: ``ExpertService`` is the trivial one-tenant case of the registry
+#: the tenant a host serves when nobody named one: a plain
+#: ``ExpertService``, a replica handed one system, ``--from-artifact DIR``
 DEFAULT_TENANT = "default"
 
 
@@ -104,7 +109,7 @@ class ServedAnswer:
     expansion_seconds: float
     detection_seconds: float
     total_seconds: float
-    #: which tenant's corpus answered (``"default"`` pre-tenancy)
+    #: which tenant's corpus answered
     tenant: str = DEFAULT_TENANT
 
 
@@ -141,7 +146,8 @@ class TenantHealth:
 
     A single scalar ``snapshot_version`` would silently alias tenants
     (tenant versions are independent monotonic sequences), so health and
-    stats carry this per-tenant breakdown alongside the legacy scalar.
+    stats carry this per-tenant breakdown alongside the scalar (which
+    is the default tenant's).
     """
 
     tenant: str
@@ -253,6 +259,99 @@ class ServiceStats:
         return self.cache.hit_rate
 
 
+class ServingRuntime:
+    """The infrastructure every tenant of one serving host shares.
+
+    Result LRU, single-flight table, fair admission controller,
+    detection pool, batch pool and micro-batcher — built once from one
+    :class:`ServiceConfig`, torn down by one :meth:`close`.  A tenant
+    without a quota of its own may fill the whole admission envelope,
+    which is all a one-tenant host ever needs.
+    """
+
+    def __init__(self, config: ServiceConfig | None = None) -> None:
+        self.config = config or ServiceConfig()
+        config = self.config
+        self.cache = LRUCache(config.cache_capacity, config.cache_ttl_seconds)
+        self.flight: SingleFlight | None = (
+            SingleFlight() if config.single_flight else None
+        )
+        self.admission = FairAdmissionController(
+            max_in_flight=config.max_in_flight,
+            timeout_seconds=config.admission_timeout_seconds,
+            default_quota=TenantQuota(
+                max_in_flight=config.max_in_flight,
+                max_queue_depth=config.max_queue_depth,
+            ),
+        )
+        self.detect_pool = WorkerPool(
+            config.detection_workers, name="repro-detect"
+        )
+        self.batch_pool = WorkerPool(config.batch_workers, name="repro-batch")
+        self.batcher = MicroBatchScheduler(
+            self.batch_pool,
+            window_seconds=config.batch_window_seconds,
+            max_batch=config.max_batch,
+        )
+
+    def close(self) -> bool:
+        """Refuse new admissions, drain the admitted ones, then release
+        the pools — an admitted request never sees its worker pool
+        vanish mid-computation.
+
+        ``True`` when everything drained within
+        ``drain_timeout_seconds``; ``False`` means the drain timed out
+        and stragglers lost their pools (they surface
+        :class:`ServiceClosedError`) — bounded shutdown over waiting
+        forever, but the outcome is not silent.
+        """
+        self.admission.close()
+        remaining = self.admission.drain(self.config.drain_timeout_seconds)
+        self.batcher.close()
+        self.batch_pool.shutdown()
+        self.detect_pool.shutdown()
+        return remaining == 0
+
+    def health(
+        self, snapshot_version: int, tenants: Tuple[TenantHealth, ...]
+    ) -> ReplicaHealthReport:
+        """The replica-shaped report over the given tenants' counters."""
+        admission = self.admission.stats()
+        return ReplicaHealthReport(
+            snapshot_version=snapshot_version,
+            cache_hit_ratio=self.cache.cache_info().hit_rate,
+            requests=sum(entry.requests for entry in tenants),
+            partial_requests=sum(entry.partial_requests for entry in tenants),
+            in_flight=admission.in_flight,
+            waiting=admission.waiting,
+            tenants=tenants,
+        )
+
+    def stats(
+        self,
+        snapshot_version: int,
+        tenants: Tuple[TenantHealth, ...],
+        **refresh,
+    ) -> ServiceStats:
+        """:class:`ServiceStats` over the given tenants' counters;
+        ``refresh`` carries the caller's refresh accounting fields."""
+        flight = self.flight
+        return ServiceStats(
+            requests=sum(entry.requests for entry in tenants),
+            partial_requests=sum(entry.partial_requests for entry in tenants),
+            snapshot_version=snapshot_version,
+            cache=self.cache.cache_info(),
+            admission=self.admission.stats(),
+            flight_leaders=flight.leaders if flight is not None else 0,
+            flight_coalesced=flight.coalesced if flight is not None else 0,
+            batches_dispatched=self.batcher.batches_dispatched,
+            batch_coalesced=self.batcher.coalesced,
+            detection_pool=self.detect_pool.stats(),
+            tenants=tenants,
+            **refresh,
+        )
+
+
 class ExpertService:
     """Concurrent query serving over a built e# system."""
 
@@ -262,85 +361,37 @@ class ExpertService:
         config: ServiceConfig | None = None,
         *,
         tenant: str = DEFAULT_TENANT,
-        cache: LRUCache | None = None,
-        flight: SingleFlight | None = None,
-        admission=None,
-        detect_pool: WorkerPool | None = None,
-        batch_pool: WorkerPool | None = None,
-        batcher: MicroBatchScheduler | None = None,
+        runtime: ServingRuntime | None = None,
     ) -> None:
-        """Serve one built system, optionally as one tenant of a shared
-        deployment.
+        """Serve one built system as ``tenant``.
 
-        The keyword components (``cache``, ``flight``, ``admission``,
-        the pools and ``batcher``) exist for
-        :class:`~repro.serving.tenancy.MultiTenantService`, which shares
-        one of each across every tenant; when injected, this service
-        keys its entries by its ``tenant`` label and does **not** tear
-        the component down on :meth:`close`.  Omitted (the single-tenant
-        default) the service builds and owns its own, exactly as before
-        tenancy existed.
+        Without ``runtime`` the service builds a private
+        :class:`ServingRuntime` from ``config`` and tears it down on
+        :meth:`close`.  A :class:`~repro.serving.tenancy.MultiTenantService`
+        passes the one runtime all its tenants share instead (its config
+        is the runtime's); this service then keys its entries by its
+        ``tenant`` label and leaves the runtime running when it closes.
         """
         if not system.is_built:
             raise ValueError(
                 "ExpertService requires a built system; call ESharp.build() first"
             )
+        if runtime is not None and config is not None:
+            raise ValueError("pass a config or a runtime, not both")
+        self._owns_runtime = runtime is None
+        if runtime is None:
+            runtime = ServingRuntime(config)
         self.system = system
-        self.config = config or ServiceConfig()
+        self.config = runtime.config
         self.tenant = tenant
         self._snapshots: SnapshotHolder = system.snapshots
-        self._owns_cache = cache is None
-        self._cache: LRUCache = (
-            cache
-            if cache is not None
-            else LRUCache(
-                self.config.cache_capacity, self.config.cache_ttl_seconds
-            )
-        )
-        if flight is not None:
-            self._flight: SingleFlight | None = flight
-        else:
-            self._flight = SingleFlight() if self.config.single_flight else None
-        self._owns_admission = admission is None
-        self._admission = (
-            admission
-            if admission is not None
-            else AdmissionController(
-                max_in_flight=self.config.max_in_flight,
-                max_queue_depth=self.config.max_queue_depth,
-                timeout_seconds=self.config.admission_timeout_seconds,
-            )
-        )
-        #: tenant-aware controllers take the tenant name per call
-        self._admission_per_tenant = getattr(
-            self._admission, "per_tenant", False
-        )
-        self._owns_detect_pool = detect_pool is None
-        self._detect_pool = (
-            detect_pool
-            if detect_pool is not None
-            else WorkerPool(self.config.detection_workers, name="repro-detect")
-        )
-        self._owns_batch_pool = batch_pool is None and batcher is None
-        self._batch_pool = (
-            batch_pool
-            if batch_pool is not None
-            else (
-                WorkerPool(self.config.batch_workers, name="repro-batch")
-                if batcher is None
-                else None
-            )
-        )
-        self._owns_batcher = batcher is None
-        self._batcher: MicroBatchScheduler = (
-            batcher
-            if batcher is not None
-            else MicroBatchScheduler(
-                self._batch_pool,
-                window_seconds=self.config.batch_window_seconds,
-                max_batch=self.config.max_batch,
-            )
-        )
+        self._runtime = runtime
+        # unpacked once: the request path reads these as plain attributes
+        self._cache = runtime.cache
+        self._flight = runtime.flight
+        self._admission = runtime.admission
+        self._detect_pool = runtime.detect_pool
+        self._batcher = runtime.batcher
         self._counter_lock = threading.Lock()
         #: serialises refreshes: two interleaved rebuilds could publish
         #: the staler build last, and the incremental refresher's state
@@ -364,46 +415,22 @@ class ExpertService:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> bool:
-        """Stop accepting work, drain in-flight requests, then release
-        the pools (idempotent).
+        """Stop accepting work and drain in-flight requests (idempotent).
 
-        Requests admitted before the close keep the pools they are
-        executing on: new arrivals are rejected with
-        :class:`ServiceClosedError`, the admission controller drains,
-        and only then are the batcher and pools torn down — an admitted
-        request never sees its worker pool vanish mid-computation.
-
-        Shared components (a multi-tenant deployment injected them) are
-        left running: this service drains only *its own tenant's*
-        admitted work and never tears down infrastructure other tenants
-        are still serving on.
-
-        Returns ``True`` when every admitted request drained within
-        ``drain_timeout_seconds``; ``False`` means the drain timed out
-        and stragglers lost their pools (they surface
-        :class:`ServiceClosedError`) — the caller chose bounded
-        shutdown over waiting forever, but the outcome is not silent.
+        New arrivals are rejected with :class:`ServiceClosedError`.  A
+        service that built its own runtime closes it
+        (:meth:`ServingRuntime.close`: drain, then pools).  One serving
+        on a shared runtime drains only *its own tenant's* admitted work
+        and leaves the infrastructure other tenants are serving on
+        running.  Returns ``True`` when every admitted request drained
+        within ``drain_timeout_seconds``.
         """
         self._closed = True
-        if self._owns_admission:
-            self._admission.close()
-            remaining = self._admission.drain(
-                self.config.drain_timeout_seconds
-            )
-        elif self._admission_per_tenant:
-            remaining = self._admission.drain_tenant(
-                self.tenant, self.config.drain_timeout_seconds
-            )
-        else:
-            remaining = self._admission.drain(
-                self.config.drain_timeout_seconds
-            )
-        if self._owns_batcher:
-            self._batcher.close()
-        if self._owns_batch_pool and self._batch_pool is not None:
-            self._batch_pool.shutdown()
-        if self._owns_detect_pool:
-            self._detect_pool.shutdown()
+        if self._owns_runtime:
+            return self._runtime.close()
+        remaining = self._admission.drain_tenant(
+            self.tenant, self.config.drain_timeout_seconds
+        )
         return remaining == 0
 
     def __enter__(self) -> "ExpertService":
@@ -411,12 +438,6 @@ class ExpertService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _slot(self):
-        """One admission slot — scoped to this tenant on shared gates."""
-        if self._admission_per_tenant:
-            return self._admission.slot(self.tenant)
-        return self._admission.slot()
 
     # -- the synchronous serving path -------------------------------------------
 
@@ -439,7 +460,7 @@ class ExpertService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         self._check_budget(budget_seconds, started)
-        with self._slot():
+        with self._admission.slot(self.tenant):
             self._check_budget(budget_seconds, started)
             snapshot = self._require_snapshot()
             threshold = (
@@ -516,7 +537,7 @@ class ExpertService:
         indexed = tuple(
             (int(index), str(term)) for index, term in indexed_terms
         )
-        with self._slot():
+        with self._admission.slot(self.tenant):
             self._check_budget(budget_seconds, started)
             snapshot = self._require_snapshot()
             key = (self.tenant, snapshot.version, "partial", indexed, limit)
@@ -683,16 +704,8 @@ class ExpertService:
         needs to pick replicas and to detect version skew during a
         promotion.
         """
-        admission = self._admission.stats()
-        tenant_health = self.tenant_health()
-        return ReplicaHealthReport(
-            snapshot_version=self._snapshots.version,
-            cache_hit_ratio=self._cache.cache_info().hit_rate,
-            requests=tenant_health.requests,
-            partial_requests=tenant_health.partial_requests,
-            in_flight=admission.in_flight,
-            waiting=admission.waiting,
-            tenants=(tenant_health,),
+        return self._runtime.health(
+            self._snapshots.version, (self.tenant_health(),)
         )
 
     def tenant_health(self) -> TenantHealth:
@@ -713,31 +726,15 @@ class ExpertService:
 
     def stats(self) -> ServiceStats:
         with self._counter_lock:
-            requests = self._requests
-            partials = self._partials
-            refreshes = self._refreshes
-            last_refresh_seconds = self._last_refresh_seconds
-            delta_refreshes = self._delta_refreshes
-            last_delta_refresh_seconds = self._last_delta_refresh_seconds
-            last_delta_refresh = self._last_delta_refresh
-        flight = self._flight
-        return ServiceStats(
-            requests=requests,
-            partial_requests=partials,
-            refreshes=refreshes,
-            last_refresh_seconds=last_refresh_seconds,
-            delta_refreshes=delta_refreshes,
-            last_delta_refresh_seconds=last_delta_refresh_seconds,
-            last_delta_refresh=last_delta_refresh,
-            snapshot_version=self._snapshots.version,
-            cache=self._cache.cache_info(),
-            admission=self._admission.stats(),
-            flight_leaders=flight.leaders if flight is not None else 0,
-            flight_coalesced=flight.coalesced if flight is not None else 0,
-            batches_dispatched=self._batcher.batches_dispatched,
-            batch_coalesced=self._batcher.coalesced,
-            detection_pool=self._detect_pool.stats(),
-            tenants=(self.tenant_health(),),
+            refresh = dict(
+                refreshes=self._refreshes,
+                last_refresh_seconds=self._last_refresh_seconds,
+                delta_refreshes=self._delta_refreshes,
+                last_delta_refresh_seconds=self._last_delta_refresh_seconds,
+                last_delta_refresh=self._last_delta_refresh,
+            )
+        return self._runtime.stats(
+            self._snapshots.version, (self.tenant_health(),), **refresh
         )
 
     # -- internals ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Multi-tenant serving: many corpora behind one process's shared engine.
 
 Tenancy is a first-class dimension of the stack, not a dict of services
-bolted on the side.  One :class:`MultiTenantService` owns exactly one of
-each expensive shared component — result cache, single-flight table,
-micro-batch scheduler, worker pools, and a
+bolted on the side.  One :class:`MultiTenantService` owns exactly one
+:class:`~repro.serving.service.ServingRuntime` — result cache,
+single-flight table, micro-batch scheduler, worker pools, and a
 :class:`~repro.serving.quotas.FairAdmissionController` — while each
 tenant keeps what *must* be tenant-scoped: its own
 :class:`~repro.core.esharp.ESharp` system, and with it its own
@@ -23,9 +23,12 @@ from their artifact directory (a ``refresh_delta`` or a promotion) are
 marked dirty and never evicted — their state is not reconstructible
 from disk.
 
-The plain single-tenant :class:`~repro.serving.service.ExpertService`
-is the trivial one-tenant case of all of this and is byte-identical to
-a one-tenant registry (proven by tests).
+This is the host both fleet transports hold, whatever they were given:
+a tenant map, one artifact directory, or one loaded system (the last two
+as tenant ``default``; see :func:`open_host`).  A standalone
+:class:`~repro.serving.service.ExpertService` is the same tenant-keyed
+service over a private runtime, byte-identical to a one-tenant registry
+(proven by tests).
 """
 
 from __future__ import annotations
@@ -36,18 +39,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.serving.cache import LRUCache
 from repro.serving.errors import (
     ServiceClosedError,
     ServingError,
     TenantStageError,
     UnknownTenantError,
 )
-from repro.serving.quotas import (
-    FairAdmissionController,
-    TenantAdmissionStats,
-    TenantQuota,
-)
+from repro.serving.quotas import TenantQuota
 from repro.serving.service import (
     DEFAULT_TENANT,
     ExpertService,
@@ -57,10 +55,9 @@ from repro.serving.service import (
     ServiceConfig,
     ServiceSnapshot,
     ServiceStats,
+    ServingRuntime,
     TenantHealth,
 )
-from repro.serving.singleflight import SingleFlight
-from repro.serving.workers import MicroBatchScheduler, WorkerPool
 
 #: tenant names are path- and flag-safe identifiers
 TENANT_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -279,13 +276,14 @@ class TenantRegistry:
 
 
 class MultiTenantService:
-    """Many corpora, one engine: the registry plus the shared components.
+    """Many corpora, one engine: the registry plus one shared runtime.
 
     The public surface mirrors :class:`ExpertService` with a leading
-    ``tenant`` argument on every serving call.  One shared result cache,
-    single-flight table, micro-batcher, worker pools, and fair admission
-    controller serve every tenant; per-tenant isolation is by key prefix
-    and per-tenant quota, not by duplicated infrastructure.
+    ``tenant`` argument on every serving call.  One
+    :class:`~repro.serving.service.ServingRuntime` (result cache,
+    single-flight table, micro-batcher, worker pools, fair admission
+    controller) serves every tenant; per-tenant isolation is by key
+    prefix and per-tenant quota, not by duplicated infrastructure.
     """
 
     def __init__(
@@ -296,41 +294,18 @@ class MultiTenantService:
         max_resident: Optional[int] = None,
         loader: Optional[Callable[[TenantSpec], object]] = None,
     ) -> None:
-        self.config = config or ServiceConfig()
+        self._runtime = ServingRuntime(config)
+        self.config = self._runtime.config
         self._loader = loader if loader is not None else _load_system
-        self._cache = LRUCache(
-            self.config.cache_capacity, self.config.cache_ttl_seconds
-        )
-        self._flight: SingleFlight | None = (
-            SingleFlight() if self.config.single_flight else None
-        )
-        # a tenant without an explicit quota may fill the whole envelope
-        self._admission = FairAdmissionController(
-            max_in_flight=self.config.max_in_flight,
-            timeout_seconds=self.config.admission_timeout_seconds,
-            default_quota=TenantQuota(
-                max_in_flight=self.config.max_in_flight,
-                max_queue_depth=self.config.max_queue_depth,
-            ),
-        )
-        self._detect_pool = WorkerPool(
-            self.config.detection_workers, name="repro-detect"
-        )
-        self._batch_pool = WorkerPool(
-            self.config.batch_workers, name="repro-batch"
-        )
-        self._batcher = MicroBatchScheduler(
-            self._batch_pool,
-            window_seconds=self.config.batch_window_seconds,
-            max_batch=self.config.max_batch,
-        )
         self._registry = TenantRegistry(
             specs,
             build_resident=self._build_resident,
             max_resident=max_resident,
         )
         for name in self._registry.names():
-            self._admission.register(name, self._registry.spec(name).quota)
+            self._runtime.admission.register(
+                name, self._registry.spec(name).quota
+            )
         self._staged_lock = threading.Lock()
         #: per-tenant staged generations awaiting promote
         self._staged: Dict[str, object] = {}  # guarded-by: _staged_lock
@@ -342,16 +317,18 @@ class MultiTenantService:
     def _build_resident(self, spec: TenantSpec):
         system = self._loader(spec)
         service = ExpertService(
-            system,
-            self.config,
-            tenant=spec.name,
-            cache=self._cache,
-            flight=self._flight,
-            admission=self._admission,
-            detect_pool=self._detect_pool,
-            batcher=self._batcher,
+            system, tenant=spec.name, runtime=self._runtime
         )
         return system, service
+
+    def warm(self, tenant: str) -> int:
+        """Load ``tenant`` now rather than on its first request (a bad
+        artifact fails here); returns the version it serves."""
+        resident = self._registry.acquire(tenant)
+        try:
+            return resident.service.snapshot_version
+        finally:
+            self._registry.release(resident)
 
     # -- the serving surface -----------------------------------------------------
 
@@ -469,7 +446,7 @@ class MultiTenantService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         with self._staged_lock:
-            staged = self._staged.pop(tenant, None)
+            staged = self._staged.get(tenant)
         if staged is None:
             raise TenantStageError(
                 f"tenant {tenant!r}: promote before stage"
@@ -480,9 +457,14 @@ class MultiTenantService:
             snapshot = resident.system.promote_staged(
                 staged, expected_version=expected_version
             )
-            return snapshot.version
         finally:
             self._registry.release(resident)
+        # dropped only once it is serving: a lost CAS keeps the staged
+        # generation for a retry
+        with self._staged_lock:
+            if self._staged.get(tenant) is staged:
+                del self._staged[tenant]
+        return snapshot.version
 
     # -- observability -----------------------------------------------------------
 
@@ -505,67 +487,36 @@ class MultiTenantService:
             )
         )
 
-    def health(self) -> ReplicaHealthReport:
-        """One replica-shaped report with the per-tenant breakdown.
+    def default_version(self) -> int:
+        """The scalar ``snapshot_version`` of the replica-shaped
+        reports: the *default* tenant's (0 when it is not served here or
+        not resident) — consumers of any other tenant read ``tenants``
+        and never the scalar."""
+        if DEFAULT_TENANT not in self._registry.names():
+            return 0
+        return self.tenant_version(DEFAULT_TENANT) or 0
 
-        The scalar ``snapshot_version`` is the *default* tenant's (0
-        when it is not resident) — real multi-tenant consumers read
-        ``tenants`` and never the scalar.
-        """
-        breakdown = self._tenant_breakdown()
-        admission = self._admission.stats()
-        scalar_version = 0
-        for entry in breakdown:
-            if entry.tenant == DEFAULT_TENANT:
-                scalar_version = entry.snapshot_version
-        return ReplicaHealthReport(
-            snapshot_version=scalar_version,
-            cache_hit_ratio=self._cache.cache_info().hit_rate,
-            requests=sum(entry.requests for entry in breakdown),
-            partial_requests=sum(
-                entry.partial_requests for entry in breakdown
-            ),
-            in_flight=admission.in_flight,
-            waiting=admission.waiting,
-            tenants=breakdown,
+    def health(self) -> ReplicaHealthReport:
+        """One replica-shaped report with the per-tenant breakdown."""
+        return self._runtime.health(
+            self.default_version(), self._tenant_breakdown()
         )
 
     def stats(self) -> ServiceStats:
         """Aggregate counters in the familiar :class:`ServiceStats`
         shape, with the per-tenant breakdown in ``tenants``."""
-        breakdown = self._tenant_breakdown()
-        residents = self._registry.residents()
-        refreshes = 0
-        delta_refreshes = 0
-        for resident in residents:
-            resident_stats = resident.service.stats()
-            refreshes += resident_stats.refreshes
-            delta_refreshes += resident_stats.delta_refreshes
-        scalar_version = 0
-        for entry in breakdown:
-            if entry.tenant == DEFAULT_TENANT:
-                scalar_version = entry.snapshot_version
-        flight = self._flight
-        return ServiceStats(
-            requests=sum(entry.requests for entry in breakdown),
-            partial_requests=sum(
-                entry.partial_requests for entry in breakdown
+        resident_stats = [
+            resident.service.stats()
+            for resident in self._registry.residents()
+        ]
+        return self._runtime.stats(
+            self.default_version(),
+            self._tenant_breakdown(),
+            refreshes=sum(stats.refreshes for stats in resident_stats),
+            delta_refreshes=sum(
+                stats.delta_refreshes for stats in resident_stats
             ),
-            refreshes=refreshes,
-            delta_refreshes=delta_refreshes,
-            snapshot_version=scalar_version,
-            cache=self._cache.cache_info(),
-            admission=self._admission.stats(),
-            flight_leaders=flight.leaders if flight is not None else 0,
-            flight_coalesced=flight.coalesced if flight is not None else 0,
-            batches_dispatched=self._batcher.batches_dispatched,
-            batch_coalesced=self._batcher.coalesced,
-            detection_pool=self._detect_pool.stats(),
-            tenants=breakdown,
         )
-
-    def tenant_admission(self) -> Tuple[TenantAdmissionStats, ...]:
-        return self._admission.tenant_stats()
 
     def describe_tenants(self) -> List[dict]:
         """The ``tenants`` introspection verb: every tenant (loaded or
@@ -575,7 +526,8 @@ class MultiTenantService:
             for resident in self._registry.residents()
         }
         admission = {
-            stats.tenant: stats for stats in self._admission.tenant_stats()
+            stats.tenant: stats
+            for stats in self._runtime.admission.tenant_stats()
         }
         rows = []
         for name in sorted(self._registry.names()):
@@ -622,18 +574,15 @@ class MultiTenantService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> bool:
-        """Drain every tenant, then tear the shared components down."""
+        """Drain every tenant, then tear the shared runtime down."""
         self._closed = True
-        self._admission.close()
-        remaining = self._admission.drain(self.config.drain_timeout_seconds)
-        for resident in self._registry.close():
-            # shared components: this only flags the service closed and
-            # re-drains its (already idle) tenant
+        residents = self._registry.close()
+        drained = self._runtime.close()
+        for resident in residents:
+            # only flags the service closed: its tenant is drained and
+            # the runtime was never its to tear down
             resident.service.close()
-        self._batcher.close()
-        self._batch_pool.shutdown()
-        self._detect_pool.shutdown()
-        return remaining == 0
+        return drained
 
     def __enter__(self) -> "MultiTenantService":
         return self
@@ -682,6 +631,35 @@ class TenantClient:
 
     def stats(self) -> ServiceStats:
         return self.service.stats()
+
+
+def open_host(
+    specs: Iterable[TenantSpec],
+    config: ServiceConfig | None = None,
+    *,
+    max_resident: Optional[int] = None,
+    loader: Optional[Callable[[TenantSpec], object]] = None,
+) -> MultiTenantService:
+    """The service a fleet replica holds, in either transport.
+
+    A host with exactly one tenant has nothing to be lazy about — lazy
+    loading bounds residency across *many* tenants — so it warms that
+    tenant before returning: a bad artifact fails construction (a
+    ``ReplicaStartupError`` over the pipe, not a first-request
+    surprise), the ready handshake carries the version actually served,
+    and a fleet promotion finds the tenant resident.
+    """
+    service = MultiTenantService(
+        specs, config, max_resident=max_resident, loader=loader
+    )
+    names = service.tenants()
+    if len(names) == 1:
+        try:
+            service.warm(names[0])
+        except BaseException:
+            service.close()
+            raise
+    return service
 
 
 def _load_system(spec: TenantSpec):

@@ -7,6 +7,8 @@ serialization that used to run inside the swap lock.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.analysis.lockwatch import LockWatch, install, uninstall
@@ -19,7 +21,7 @@ from repro.fleet.errors import (
 )
 from repro.fleet.merge import merge_partials
 from repro.fleet.worker import FleetWorker
-from repro.serving.admission import AdmissionController
+from repro.serving.quotas import FairAdmissionController
 from repro.serving.errors import AdmissionProtocolError, ServingError
 from repro.serving.snapshot import StaleSnapshotError
 
@@ -27,14 +29,20 @@ from repro.serving.snapshot import StaleSnapshotError
 class TestTypedErrors:
     def test_admission_release_without_acquire(self):
         with pytest.raises(AdmissionProtocolError):
-            AdmissionController().release()
+            FairAdmissionController().release("default")
         # still a RuntimeError for pre-hierarchy callers
         assert issubclass(AdmissionProtocolError, RuntimeError)
 
-    def test_worker_promote_before_preload(self):
-        worker = FleetWorker.__new__(FleetWorker)
-        with pytest.raises(PromotionError):
-            FleetWorker._dispatch(worker, {"op": "promote"})
+    def test_worker_promote_before_preload(self, tenant_artifacts):
+        pipe = io.StringIO()
+        worker = FleetWorker(
+            str(tenant_artifacts["a"]), reader=pipe, writer=pipe
+        )
+        try:
+            with pytest.raises(PromotionError):
+                FleetWorker._dispatch(worker, {"op": "promote"})
+        finally:
+            worker.service.close()
 
     def test_worker_unknown_op(self):
         worker = FleetWorker.__new__(FleetWorker)

@@ -49,8 +49,15 @@ from repro.fleet import (
 )
 from repro.fleet import wire
 from repro.fleet.worker import FleetWorker
-from repro.serving.admission import AdmissionController
+from repro.serving.errors import (
+    ServiceOverloadedError,
+    TenantOverloadedError,
+    UnknownTenantError,
+)
+from repro.serving.quotas import FairAdmissionController
+from repro.serving.tenancy import TenantSpec
 from repro.serving.service import (
+    DEFAULT_TENANT,
     ExpertService,
     PartialPool,
     ReplicaHealthReport,
@@ -799,6 +806,28 @@ class TestWire:
         assert isinstance(unknown, RemoteReplicaError)
         assert unknown.remote_type == "WeirdError"
 
+    def test_a_standalone_overflow_is_still_an_overload_across_the_wire(
+        self, system, queries
+    ):
+        """A standalone service's own queue overflow is tenant-typed
+        (``default``); ``except ServiceOverloadedError`` must keep
+        catching it on either side of the process boundary."""
+        config = ServiceConfig(
+            max_in_flight=1, max_queue_depth=0, admission_timeout_seconds=0.2
+        )
+        with ExpertService(system, config) as service:
+            service._admission.acquire(service.tenant)
+            try:
+                with pytest.raises(ServiceOverloadedError) as caught:
+                    service.query(queries[0])
+            finally:
+                service._admission.release(service.tenant)
+        frame = json.loads(json.dumps(wire.error_to_wire(caught.value)))
+        decoded = wire.error_from_wire(frame)
+        assert isinstance(decoded, ServiceOverloadedError)
+        assert isinstance(decoded, TenantOverloadedError)
+        assert decoded.tenant == DEFAULT_TENANT
+
     def test_undecodable_line_is_protocol_error(self):
         from repro.fleet import WorkerProtocolError
 
@@ -841,6 +870,23 @@ class TestSubprocessReplica:
         report = worker.health()
         assert report.snapshot_version == 1
         assert report.requests >= 1
+
+    def test_one_artifact_worker_serves_exactly_the_default_tenant(
+        self, worker, queries
+    ):
+        assert worker.tenants == (DEFAULT_TENANT,)
+        assert worker.query(queries[0], tenant=DEFAULT_TENANT).tenant == (
+            DEFAULT_TENANT
+        )
+        with pytest.raises(UnknownTenantError) as caught:
+            worker.query(queries[0], tenant="ghost")
+        assert caught.value.tenant == "ghost"
+        with pytest.raises(UnknownTenantError):
+            worker.score_partial(
+                queries[0], [(0, queries[0])], limit=3, tenant="ghost"
+            )
+        with pytest.raises(UnknownTenantError):
+            worker.preload("anywhere", tenant="ghost")
 
     def test_partial_reply_frame_carries_at_most_limit_entries(
         self, worker, queries
@@ -989,29 +1035,210 @@ class TestFleetWorkerLoop:
         assert {"id": 4, "ok": "pong"} in replies
 
 
+# -- one host, two spellings ----------------------------------------------------
+
+
+TIMING_FIELDS = ("expansion_seconds", "detection_seconds", "total_seconds")
+
+
+def without_timings(frame):
+    """A reply frame with the wall-clock fields of an answer zeroed —
+    the only bytes of a reply that legitimately differ between runs."""
+    payload = frame.get("ok")
+    if isinstance(payload, dict):
+        payload = {
+            key: 0.0 if key in TIMING_FIELDS else value
+            for key, value in payload.items()
+        }
+        frame = {**frame, "ok": payload}
+    return json.dumps(frame, separators=(",", ":"))
+
+
+class TestOneHostTwoSpellings:
+    """``--from-artifact DIR`` / ``InProcessReplica(name, system)`` are
+    constructors of the one tenant-addressed host, not code paths: the
+    same requests get the same bytes back as from ``--tenant
+    default=DIR`` / ``tenant_specs=[default]``."""
+
+    def worker_transcript(
+        self, monkeypatch, flags, artifact_dir, artifact_v2_dir, queries
+    ):
+        from repro.cli import main
+
+        def frame(request_id, op, **fields):
+            message = {"op": op, "id": request_id, **fields}
+            # each request waits for the previous reply: one at a time
+            return json.dumps(message), (
+                request_id - 1 if request_id > 1 else None
+            )
+
+        query, other = queries[0], queries[1]
+        pipe = ScriptedPipe(
+            [
+                frame(1, "query", query=query, min_zscore=None),
+                frame(2, "query", query=query, min_zscore=None),
+                frame(3, "partial", query=query, limit=5,
+                      terms=[[0, query], [1, other]]),
+                frame(4, "health"),
+                frame(5, "promote", expected_version=1),
+                frame(6, "preload", path=str(artifact_v2_dir)),
+                frame(7, "promote", expected_version=1),
+                frame(8, "health"),
+                frame(9, "query", query=query, min_zscore=None,
+                      tenant="ghost"),
+                frame(10, "partial", query=query, limit=5,
+                      terms=[[0, query]], tenant=DEFAULT_TENANT),
+            ]
+        )
+        monkeypatch.setattr(sys, "stdin", pipe)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        rc = main(["fleet-worker", *flags, "--detection-workers", "1"])
+        assert rc == 0
+        return [without_timings(reply) for reply in pipe.replies]
+
+    def replica_transcript(self, replica, artifact_v2_dir, queries):
+        query, other = queries[0], queries[1]
+        steps = [
+            lambda: replica.tenants,
+            lambda: replica.snapshot_version,
+            lambda: replica.query(query),
+            lambda: replica.query(query),
+            lambda: replica.score_partial(
+                query, [(0, query), (1, other)], limit=5
+            ),
+            lambda: replica.health().to_dict(),
+            lambda: replica.promote(expected_version=1),
+            lambda: replica.preload(artifact_v2_dir),
+            lambda: replica.promote(expected_version=1),
+            lambda: replica.snapshot_version,
+            lambda: replica.health().to_dict(),
+            lambda: replica.query(query, tenant="ghost"),
+            lambda: replica.score_partial(
+                query, [(0, query)], limit=5, tenant=DEFAULT_TENANT
+            ),
+        ]
+        transcript = []
+        try:
+            for step in steps:
+                try:
+                    outcome = step()
+                except Exception as exc:  # noqa: BLE001 - part of the surface
+                    outcome = (type(exc).__name__, str(exc))
+                if isinstance(outcome, ServedAnswer):
+                    outcome = (answer_key(outcome), outcome.cache_hit,
+                               outcome.tenant)
+                transcript.append(outcome)
+        finally:
+            replica.close()
+        return transcript
+
+    @pytest.mark.parametrize("transport", ["worker", "thread"])
+    def test_both_spellings_answer_identically(
+        self, transport, monkeypatch, artifact_dir, artifact_v2_dir, queries
+    ):
+        if transport == "worker":
+            one_artifact, named = (
+                self.worker_transcript(
+                    monkeypatch, flags, artifact_dir, artifact_v2_dir,
+                    queries,
+                )
+                for flags in (
+                    ["--from-artifact", str(artifact_dir)],
+                    ["--tenant", f"{DEFAULT_TENANT}={artifact_dir}"],
+                )
+            )
+            assert json.loads(one_artifact[0]) == {
+                "op": "ready", "version": 1, "tenants": [DEFAULT_TENANT],
+            }
+            replies = [json.loads(line) for line in one_artifact[1:]]
+            errors = [
+                reply["error"]["type"] for reply in replies if "error" in reply
+            ]
+            cache_hits = [
+                reply["ok"]["cache_hit"] for reply in replies[:2]
+            ]
+            versions = [replies[3]["ok"], replies[7]["ok"]]
+            versions = [report["snapshot_version"] for report in versions]
+        else:
+            one_artifact, named = (
+                self.replica_transcript(replica, artifact_v2_dir, queries)
+                for replica in (
+                    InProcessReplica(
+                        "host", ESharp.from_artifact(artifact_dir)
+                    ),
+                    InProcessReplica(
+                        "host",
+                        tenant_specs=[
+                            TenantSpec(DEFAULT_TENANT, str(artifact_dir))
+                        ],
+                    ),
+                )
+            )
+            assert one_artifact[0] == (DEFAULT_TENANT,)
+            errors = [
+                outcome[0]
+                for outcome in one_artifact
+                if isinstance(outcome, tuple) and len(outcome) == 2
+            ]
+            cache_hits = [outcome[1] for outcome in one_artifact[2:4]]
+            versions = [one_artifact[1], one_artifact[9]]
+        assert one_artifact == named
+        # the transcript exercised what it claims to: a cache hit, the
+        # promote-before-preload refusal, the flip to v2, the typed
+        # unknown-tenant refusal
+        assert cache_hits == [False, True]
+        assert errors == ["PromotionError", "UnknownTenantError"]
+        assert versions == [1, 2]
+
+    def test_a_router_over_one_artifact_refuses_other_tenants_typed(
+        self, artifact_dir, system, queries
+    ):
+        replica = InProcessReplica("replica-0", system)
+        router = FleetRouter.from_artifact(artifact_dir, [replica])
+        try:
+            assert router.tenants() == (DEFAULT_TENANT,)
+            assert router.query(queries[0]).tenant == DEFAULT_TENANT
+            with pytest.raises(UnknownTenantError):
+                router.query(queries[0], tenant="ghost")
+            with pytest.raises(PromotionError) as refused:
+                router.promote(artifact_dir, tenant="ghost")
+            assert "unknown tenant 'ghost'" in (
+                refused.value.outcomes["replica-0"]
+            )
+            assert replica.snapshot_version == 1  # nothing flipped
+            # a route the replicas cannot back: the host itself refuses
+            single = router._routes[DEFAULT_TENANT]
+            router.add_tenant("ghost", single.store, single.ranking)
+            with pytest.raises(UnknownTenantError) as caught:
+                router.query(queries[0], tenant="ghost")
+            assert caught.value.known == (DEFAULT_TENANT,)
+        finally:
+            router.close()
+
+
 # -- serving satellites riding along ------------------------------------------
 
 
 class TestServingSatellites:
     def test_drain_counts_stragglers_exactly(self):
-        control = AdmissionController(max_in_flight=4)
-        control.acquire()
-        control.acquire()
+        control = FairAdmissionController(max_in_flight=4)
+        control.acquire(DEFAULT_TENANT)
+        control.acquire(DEFAULT_TENANT)
         assert control.drain(timeout=0.05) == 2
-        control.release()
+        control.release(DEFAULT_TENANT)
         assert control.drain(timeout=0.05) == 1
-        control.release()
+        control.release(DEFAULT_TENANT)
         assert control.drain(timeout=1.0) == 0
 
     def test_drain_includes_queued_waiters(self):
-        control = AdmissionController(max_in_flight=1, timeout_seconds=5.0)
-        control.acquire()
+        control = FairAdmissionController(max_in_flight=1, timeout_seconds=5.0)
+        control.acquire(DEFAULT_TENANT)
         entered = threading.Event()
 
         def waiter():
             entered.set()
-            control.acquire()
-            control.release()
+            control.acquire(DEFAULT_TENANT)
+            control.release(DEFAULT_TENANT)
 
         thread = threading.Thread(target=waiter, daemon=True)
         thread.start()
@@ -1020,7 +1247,7 @@ class TestServingSatellites:
         while control.waiting == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert control.drain(timeout=0.05) == 2  # one running, one queued
-        control.release()
+        control.release(DEFAULT_TENANT)
         thread.join(timeout=2.0)
         assert control.drain(timeout=1.0) == 0
 

@@ -5,12 +5,15 @@ import time
 
 import pytest
 
-from repro.serving.admission import AdmissionController
 from repro.serving.errors import (
+    AdmissionProtocolError,
     ServiceClosedError,
     ServiceOverloadedError,
     ServingError,
+    TenantOverloadedError,
 )
+from repro.serving.quotas import FairAdmissionController, TenantQuota
+from repro.serving.service import DEFAULT_TENANT, ServingRuntime, ServiceConfig
 from repro.serving.singleflight import SingleFlight
 from repro.serving.workers import MicroBatchScheduler, WorkerPool
 
@@ -78,58 +81,99 @@ class TestSingleFlight:
         assert (value, leader) == (1, True)
 
 
+def one_tenant_controller(
+    max_in_flight=16, max_queue_depth=64, timeout_seconds=5.0
+):
+    """The controller a standalone service gets: every request is tenant
+    ``default``'s, whose quota is the whole envelope (exactly how
+    :class:`ServingRuntime` sizes it)."""
+    return FairAdmissionController(
+        max_in_flight=max_in_flight,
+        timeout_seconds=timeout_seconds,
+        default_quota=TenantQuota(
+            max_in_flight=max_in_flight, max_queue_depth=max_queue_depth
+        ),
+    )
+
+
+TENANT = DEFAULT_TENANT
+
+
 class TestAdmissionController:
+    """The single-tenant admission contract, on the one controller."""
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
-            AdmissionController(max_in_flight=0)
+            one_tenant_controller(max_in_flight=0)
         with pytest.raises(ValueError):
-            AdmissionController(max_queue_depth=-1)
+            one_tenant_controller(max_queue_depth=-1)
         with pytest.raises(ValueError):
-            AdmissionController(timeout_seconds=0)
+            one_tenant_controller(timeout_seconds=0)
+
+    def test_runtime_sizes_the_default_quota_from_the_config(self):
+        runtime = ServingRuntime(
+            ServiceConfig(
+                max_in_flight=3,
+                max_queue_depth=5,
+                admission_timeout_seconds=0.25,
+            )
+        )
+        try:
+            control = runtime.admission
+            assert control.max_in_flight == 3
+            assert control.timeout_seconds == 0.25
+            assert control.default_quota == TenantQuota(
+                max_in_flight=3, max_queue_depth=5
+            )
+        finally:
+            assert runtime.close()
 
     def test_rejects_when_queue_full(self):
-        control = AdmissionController(
+        control = one_tenant_controller(
             max_in_flight=1, max_queue_depth=0, timeout_seconds=1.0
         )
-        control.acquire()
+        control.acquire(TENANT)
         with pytest.raises(ServiceOverloadedError) as caught:
-            control.acquire()
-        assert caught.value.reason == "queue full"
+            control.acquire(TENANT)
+        # the one tenant is, by construction, the noisy one
+        assert isinstance(caught.value, TenantOverloadedError)
+        assert caught.value.tenant == TENANT
+        assert "queue full" in caught.value.reason
         assert isinstance(caught.value, ServingError)
-        control.release()
+        control.release(TENANT)
         stats = control.stats()
         assert stats.admitted == 1
         assert stats.rejected_queue_full == 1
 
     def test_times_out_waiting_for_a_slot(self):
-        control = AdmissionController(
+        control = one_tenant_controller(
             max_in_flight=1, max_queue_depth=4, timeout_seconds=0.05
         )
-        control.acquire()
+        control.acquire(TENANT)
         started = time.monotonic()
         with pytest.raises(ServiceOverloadedError) as caught:
-            control.acquire()
-        assert caught.value.reason == "admission timeout"
+            control.acquire(TENANT)
+        assert "admission timeout" in caught.value.reason
         assert time.monotonic() - started < 2.0
         assert control.stats().rejected_timeout == 1
-        control.release()
+        control.release(TENANT)
 
     def test_release_unblocks_waiter(self):
-        control = AdmissionController(
+        control = one_tenant_controller(
             max_in_flight=1, max_queue_depth=4, timeout_seconds=5.0
         )
-        control.acquire()
+        control.acquire(TENANT)
         admitted = threading.Event()
 
         def waiter():
-            with control.slot():
+            with control.slot(TENANT):
                 admitted.set()
 
         thread = threading.Thread(target=waiter)
         thread.start()
         time.sleep(0.02)
         assert not admitted.is_set()
-        control.release()
+        control.release(TENANT)
         thread.join(timeout=5)
         assert admitted.is_set()
         assert control.in_flight == 0
@@ -137,18 +181,25 @@ class TestAdmissionController:
 
     def test_release_without_acquire_is_an_error(self):
         with pytest.raises(RuntimeError):
-            AdmissionController().release()
+            one_tenant_controller().release(TENANT)
+        control = one_tenant_controller()
+        control.acquire(TENANT)
+        control.release(TENANT)
+        with pytest.raises(AdmissionProtocolError):
+            control.release(TENANT)
 
-    def test_timed_out_waiter_passes_the_wakeup_on(self):
+    def test_wakeup_landing_on_a_timing_out_waiter_is_not_lost(self):
         """Regression: the lost wakeup on the timeout path.
 
-        ``release()`` notifies exactly one waiter.  If the notified
-        waiter's deadline has just expired, it used to consume the
-        notification and raise — leaving the freed slot idle while every
-        remaining waiter ran out its own deadline.  The timeout path
-        must re-notify before raising.
+        ``release()`` wakes exactly one waiter.  If that waiter's
+        deadline has just expired, a bare notify would be consumed by a
+        thread that is about to raise — leaving the freed slot idle
+        while every remaining waiter ran out its own deadline.  The
+        controller hands slots over as *reserved grants*: the timing-out
+        waiter finds the grant and takes the slot instead of raising, so
+        the slot is used and the next release reaches the bystander.
 
-        The interleaving (notify landing on a waiter that is timing
+        The interleaving (wakeup landing on a waiter that is timing
         out) is a microsecond window in the wild, so the test forces it
         deterministically: the victim thread's ``wait`` blocks until it
         is really notified and then *reports* a timeout.
@@ -168,39 +219,35 @@ class TestAdmissionController:
                     return False
                 return self._inner.wait(timeout)
 
-            def __enter__(self):
-                return self._inner.__enter__()
-
-            def __exit__(self, *exc):
-                return self._inner.__exit__(*exc)
-
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        control = AdmissionController(
+        control = one_tenant_controller(
             max_in_flight=1, max_queue_depth=4, timeout_seconds=1.5
         )
-        proxy = LostWakeupCondition(control._condition)
-        control._condition = proxy
-        control.acquire()  # occupy the only slot
+        control.acquire(TENANT)  # occupy the only slot (creates the gate)
+        gate = control._gates[TENANT]
+        proxy = LostWakeupCondition(gate.condition)
+        gate.condition = proxy
 
         outcomes = {}
-        victim_waiting = threading.Event()
+        hold = threading.Event()
 
         def victim():
             proxy.victim = threading.get_ident()
             try:
-                control.acquire()
+                control.acquire(TENANT)
                 outcomes["victim"] = "admitted"
-                control.release()
+                hold.wait(timeout=5)
+                control.release(TENANT)
             except ServiceOverloadedError:
                 outcomes["victim"] = "timeout"
 
         def bystander():
             try:
-                control.acquire()
+                control.acquire(TENANT)
                 outcomes["bystander"] = "admitted"
-                control.release()
+                control.release(TENANT)
             except ServiceOverloadedError:
                 outcomes["bystander"] = "timeout"
 
@@ -215,26 +262,33 @@ class TestAdmissionController:
             time.sleep(0.001)
         assert control.waiting == 2
 
-        control.release()  # notifies the victim, which is "timing out"
+        control.release(TENANT)  # wakes the victim, which is "timing out"
+        while "victim" not in outcomes and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # the reserved grant survived the bogus timeout: the slot is in
+        # use, not idle, and nothing was rejected
+        assert outcomes == {"victim": "admitted"}
+        assert control.in_flight == 1
+        assert control.stats().rejected_timeout == 0
+        hold.set()
         victim_thread.join(timeout=5)
-        # the victim consumed the notify and raised; the freed slot must
-        # still reach the bystander well before ITS 1.5 s deadline
+        # ... and the next release reaches the bystander well before ITS
+        # 1.5 s deadline
         bystander_thread.join(timeout=1.0)
         assert not bystander_thread.is_alive(), (
-            "bystander still waiting: the timed-out waiter swallowed "
-            "the only wakeup"
+            "bystander still waiting: the wakeup was swallowed"
         )
-        assert outcomes == {"victim": "timeout", "bystander": "admitted"}
+        assert outcomes == {"victim": "admitted", "bystander": "admitted"}
 
     def test_drain_waits_for_in_flight_and_waiters(self):
-        control = AdmissionController(
+        control = one_tenant_controller(
             max_in_flight=1, max_queue_depth=4, timeout_seconds=5.0
         )
-        control.acquire()
+        control.acquire(TENANT)
         admitted = threading.Event()
 
         def waiter():
-            with control.slot():
+            with control.slot(TENANT):
                 admitted.set()
 
         thread = threading.Thread(target=waiter, daemon=True)
@@ -242,18 +296,50 @@ class TestAdmissionController:
         deadline = time.monotonic() + 5
         while control.waiting < 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert control.drain(timeout=0.05) > 0  # still busy
-        control.release()
+        # the straggler count: one executing, one queued
+        assert control.drain(timeout=0.05) == 2
+        control.release(TENANT)
         assert control.drain(timeout=5.0) == 0
         thread.join(timeout=5)
         assert admitted.is_set()
         assert control.in_flight == 0 and control.waiting == 0
 
     def test_closed_controller_rejects_typed(self):
-        control = AdmissionController(max_in_flight=1)
+        control = one_tenant_controller(max_in_flight=1)
         control.close()
         with pytest.raises(ServiceClosedError):
-            control.acquire()
+            control.acquire(TENANT)
+
+    def test_close_wakes_queued_waiters(self):
+        """A waiter queued behind a full controller does not sit out
+        its deadline once the controller closes: it fails typed, now."""
+        control = one_tenant_controller(
+            max_in_flight=1, max_queue_depth=4, timeout_seconds=30.0
+        )
+        control.acquire(TENANT)
+        outcome = {}
+
+        def waiter():
+            try:
+                control.acquire(TENANT)
+                outcome["result"] = "admitted"
+            except ServiceClosedError:
+                outcome["result"] = "closed"
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 5
+        while control.waiting < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        started = time.monotonic()
+        control.close()
+        thread.join(timeout=5)
+        assert outcome == {"result": "closed"}
+        assert time.monotonic() - started < 2.0
+        # the admitted request is still counted until it releases
+        assert control.drain(timeout=0.05) == 1
+        control.release(TENANT)
+        assert control.drain(timeout=1.0) == 0
 
 
 class TestWorkerPool:

@@ -11,7 +11,11 @@ import time
 import pytest
 
 from repro.core.esharp import ESharp
-from repro.serving.errors import ServiceClosedError, ServiceOverloadedError
+from repro.serving.errors import (
+    ServiceClosedError,
+    ServiceOverloadedError,
+    TenantOverloadedError,
+)
 from repro.serving.loadgen import (
     LoadGenerator,
     WorkloadConfig,
@@ -19,7 +23,12 @@ from repro.serving.loadgen import (
     candidate_queries,
     run_serve,
 )
-from repro.serving.service import ExpertService, ServiceConfig
+from repro.serving.service import (
+    DEFAULT_TENANT,
+    ExpertService,
+    ServiceConfig,
+    ServingRuntime,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +97,16 @@ class TestExpertServiceBasics:
         )
         with served_system.serve(config) as svc:
             query = candidate_queries(served_system, 1)[0]
-            svc._admission.acquire()            # occupy the only slot
+            svc._admission.acquire(svc.tenant)  # occupy the only slot
             try:
-                with pytest.raises(ServiceOverloadedError):
+                with pytest.raises(ServiceOverloadedError) as caught:
                     svc.query(query)
             finally:
-                svc._admission.release()
+                svc._admission.release(svc.tenant)
+            # the standalone service is the one-tenant registration: its
+            # own overflow is tenant-typed, and still a plain overload
+            assert isinstance(caught.value, TenantOverloadedError)
+            assert caught.value.tenant == DEFAULT_TENANT == svc.tenant
             assert svc.query(query).query == query
             assert svc.stats().admission.rejected == 1
 
@@ -108,6 +121,48 @@ class TestExpertServiceBasics:
             svc.refresh_domains()
         with pytest.raises(ServiceClosedError):
             svc.refresh_delta([])
+
+
+class TestRuntimeOwnership:
+    def test_a_standalone_service_owns_and_closes_its_runtime(
+        self, served_system
+    ):
+        svc = served_system.serve()
+        assert svc.tenant == DEFAULT_TENANT and svc._owns_runtime
+        assert svc.close() is True
+        with pytest.raises(ServiceClosedError):
+            svc._runtime.detect_pool.submit(lambda: None)
+
+    def test_a_borrowed_runtime_outlives_the_service(self, served_system):
+        """Two tenants of one runtime: keyed apart, and closing one
+        drains only itself — the other keeps serving on the same pools."""
+        query = candidate_queries(served_system, 1)[0]
+        runtime = ServingRuntime(ServiceConfig(detection_workers=1))
+        try:
+            first = ExpertService(served_system, tenant="x", runtime=runtime)
+            second = ExpertService(served_system, tenant="y", runtime=runtime)
+            assert first.config is runtime.config
+            assert not first.query(query).cache_hit
+            assert not second.query(query).cache_hit  # x's entry is not y's
+            assert second.query(query).cache_hit
+            assert first.close() is True
+            with pytest.raises(ServiceClosedError):
+                first.query(query)
+            assert second.query(query).cache_hit
+            assert second.submit(query).result(timeout=30).tenant == "y"
+            assert second.stats().admission.admitted >= 4  # shared gate
+        finally:
+            assert runtime.close() is True
+
+    def test_config_and_runtime_are_mutually_exclusive(self, served_system):
+        runtime = ServingRuntime()
+        try:
+            with pytest.raises(ValueError, match="not both"):
+                ExpertService(
+                    served_system, ServiceConfig(), runtime=runtime
+                )
+        finally:
+            runtime.close()
 
 
 class TestRollingRefresh:

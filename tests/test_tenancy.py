@@ -589,6 +589,62 @@ class TestTenantObservability:
             assert service.registry.loads == 3
 
 
+    def test_eviction_never_closes_the_shared_runtime(
+        self, tenant_artifacts, tenant_queries
+    ):
+        """Evicting a tenant closes *its* service, which only borrowed
+        the runtime: the survivor keeps answering on the same pools, and
+        the host's own ``close()`` tears them down exactly once."""
+        specs = [
+            TenantSpec("a", str(tenant_artifacts["a"])),
+            TenantSpec("b", str(tenant_artifacts["b"])),
+        ]
+        service = MultiTenantService(
+            specs, ServiceConfig(detection_workers=1), max_resident=1
+        )
+        runtime = service._runtime
+        shutdowns = []
+        for pool in (runtime.detect_pool, runtime.batch_pool):
+            real = pool.shutdown
+
+            def counted(real=real, pool=pool):
+                shutdowns.append(pool)
+                return real()
+
+            pool.shutdown = counted
+        try:
+            service.query("a", tenant_queries["a"][0])
+            evicted = service.registry.residents()[0].service
+            service.query("b", tenant_queries["b"][0])  # evicts idle "a"
+            assert service.registry.evictions == 1
+            assert evicted._closed and not evicted._owns_runtime
+            assert shutdowns == []  # the eviction tore nothing down
+            # the survivor answers sync, async (batch pool) and multi-term
+            # (detection pool) on the runtime the victim was closed over
+            assert not service.query("b", tenant_queries["b"][1]).cache_hit
+            answer = service.submit("b", tenant_queries["b"][2]).result(
+                timeout=30
+            )
+            assert answer.tenant == "b"
+            pool = service.score_partial(
+                "b", "q", list(enumerate(tenant_queries["b"][:4])), limit=3
+            )
+            assert pool.tenant == "b"
+            assert service.stats().detection_pool.submitted >= 4
+            # ... and the evicted tenant comes back on it too
+            assert service.query("a", tenant_queries["a"][0]).cache_hit
+        finally:
+            assert service.close() is True
+        # one teardown per pool, from the host's close and nobody else's
+        assert len(shutdowns) == 2
+        assert {id(pool) for pool in shutdowns} == {
+            id(runtime.detect_pool),
+            id(runtime.batch_pool),
+        }
+        with pytest.raises(ServiceClosedError):
+            service.query("b", tenant_queries["b"][0])
+
+
 # -- fairness under load ------------------------------------------------------
 
 

@@ -495,3 +495,116 @@ class TestSupervisorTenantLog:
         finally:
             supervisor.close()
             router.replica("mt-0").close()
+
+
+# -- one fleet driver: every flag reaches every spelling ----------------------
+
+
+class TestFleetCommandOverTenants:
+    def fleet(self, tenant_artifacts, tmp_path, *extra):
+        import json
+
+        from repro.cli import main
+
+        json_path = tmp_path / "fleet.json"
+        rc = main(
+            [
+                "fleet",
+                "--tenant", f"a={tenant_artifacts['a']}",
+                "--tenant", f"b={tenant_artifacts['b']}",
+                "--queries", "24",
+                "--concurrency", "2",
+                "--unique", "6",
+                "--workers", "1",
+                "--json", str(json_path),
+                *extra,
+            ]
+        )
+        return rc, json.loads(json_path.read_text())
+
+    def test_supervise_is_honoured_for_tenant_fleets(
+        self, tenant_artifacts, tmp_path, capsys
+    ):
+        """Regression: ``fleet --tenant ... --supervise`` used to run
+        unsupervised without saying so."""
+        rc, payload = self.fleet(tenant_artifacts, tmp_path, "--supervise")
+        assert rc == 0
+        assert "supervisor:" in capsys.readouterr().out
+        assert payload["supervisor"]["restarts"] == 0
+        assert sorted(payload["tenants"]) == ["a", "b"]
+        assert all(
+            entry["report"]["errors"] == 0
+            for entry in payload["tenants"].values()
+        )
+
+    def test_chaos_plan_fires_for_the_matched_tenant_only(
+        self, tenant_artifacts, tmp_path
+    ):
+        """Regression: ``fleet --tenant ... --chaos-plan`` used to
+        ignore the plan.  One replica, so the injected crash cannot be
+        failed over: it surfaces as exactly one error, on tenant A."""
+        from repro.chaos import FaultPlan, FaultSpec, inject
+
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            FaultPlan(
+                faults=(
+                    FaultSpec(
+                        site="replica.call",
+                        kind="crash",
+                        times=1,
+                        match=(("tenant", "a"),),
+                    ),
+                )
+            ).to_json()
+        )
+        rc, payload = self.fleet(
+            tenant_artifacts,
+            tmp_path,
+            "--replicas", "1",
+            "--chaos-plan", str(plan_path),
+        )
+        assert rc == 1
+        assert payload["chaos_plan"] == str(plan_path)
+        assert payload["tenants"]["a"]["report"]["errors"] == 1
+        assert payload["tenants"]["b"]["report"]["errors"] == 0
+        assert inject.active() is None  # uninstalled on the way out
+
+
+class TestWorkerScoreCacheCapacity:
+    def test_the_cap_applies_to_every_tenant(
+        self, tenant_artifacts, tenant_queries
+    ):
+        """Regression: only the ``--from-artifact`` arm used to call
+        ``configure_score_cache``; a ``--tenant`` worker silently kept
+        the 8192-entry default."""
+        import io
+
+        from repro.fleet.worker import FleetWorker
+
+        pipe = io.StringIO()
+        worker = FleetWorker(
+            tenants={
+                name: str(path) for name, path in tenant_artifacts.items()
+            },
+            detection_workers=1,
+            cache_capacity=0,  # every request reaches the detector
+            score_cache_capacity=4,
+            reader=pipe,
+            writer=pipe,
+        )
+        try:
+            for tenant in ("a", "b"):
+                for query in tenant_queries[tenant]:
+                    worker._dispatch(
+                        {"op": "query", "query": query, "tenant": tenant}
+                    )
+            residents = worker.service.registry.residents()
+            assert sorted(r.spec.name for r in residents) == ["a", "b"]
+            for resident in residents:
+                memo = resident.system.detector.cache_info()
+                assert memo.capacity == 4
+                assert 0 < memo.size <= 4
+                assert memo.evictions > 0  # the cap was actually binding
+        finally:
+            worker.service.close()
